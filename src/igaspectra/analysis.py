@@ -52,25 +52,21 @@ class ExactSpectrum:
             raise ValueError("count must be >= 1")
         d = self.dim
         if d == 1:
-            j = np.arange(1, count + 1)
-            return (np.pi ** 2) * j.astype(float) ** 2
-        # enumerate index boxes until the candidate set provably
-        # contains the `count` smallest sums of d squares
-        J = max(2, math.isqrt(count) + 2)
+            return (np.pi ** 2) * np.arange(1, count + 1, dtype=float) ** 2
+        # enumerate index boxes, from the d-th root of `count` up by
+        # 1.25 per step, until the box provably holds the `count`
+        # smallest sums of d squares
+        J = max(2, math.ceil(count ** (1.0 / d)))
         while True:
-            j = np.arange(1, J + 1)
-            if d == 2:
-                sums = (j[:, None] ** 2 + j[None, :] ** 2).ravel()
-            else:
-                sums = (j[:, None, None] ** 2 + j[None, :, None] ** 2
-                        + j[None, None, :] ** 2).ravel()
-            sums = np.sort(sums)
+            j2 = np.arange(1, J + 1) ** 2
+            sums = j2
+            for _ in range(d - 1):
+                sums = np.add.outer(sums, j2)
+            # any tuple outside the box has value > J^2 + (d-1)
+            sums = sums[sums <= J * J + (d - 1)]
             if len(sums) >= count:
-                # any tuple outside the box has value > J^2 + (d-1)
-                cutoff = J * J + (d - 1)
-                if sums[count - 1] <= cutoff:
-                    return (np.pi ** 2) * sums[:count].astype(float)
-            J *= 2
+                return (np.pi ** 2) * np.sort(sums)[:count].astype(float)
+            J = math.ceil(1.25 * J)
 
     def eigenfunction_1d(self, mode: int):
         """Unit-L2 1D eigenfunction and derivative for mode j >= 1."""

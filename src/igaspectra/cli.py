@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -226,6 +225,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericError, ResourceError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

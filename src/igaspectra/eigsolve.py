@@ -25,7 +25,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DefinitenessError, NumericError
 
-__all__ = ["Spectrum", "SpectrumMeta", "solve_generalized", "smallest_and_largest"]
+__all__ = ["Spectrum", "SpectrumMeta", "solve_generalized"]
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,3 @@ def solve_generalized(K, M, want_vectors: bool = True,
 
     return Spectrum(lam, vec, meta)
 
-
-def smallest_and_largest(K, M) -> tuple[float, float]:
-    """Extreme eigenvalues of the pencil (K, M), via the full solve."""
-    s = solve_generalized(K, M, want_vectors=False)
-    return float(s.eigenvalues[0]), float(s.eigenvalues[-1])

@@ -28,4 +28,4 @@ class DefinitenessError(NumericError):
 
 
 class ResourceError(RuntimeError):
-    """A computation would exceed a configured size cap."""
+    """A computation would exceed a size cap or the physical memory."""

@@ -14,12 +14,14 @@ Index flattening convention: the x index varies fastest.  A global
 index i encodes (i_x, i_y, i_z) as i = i_x + n_x * (i_y + n_y * i_z).
 """
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
 
-from .eigsolve import Spectrum, SpectrumMeta
+from .eigsolve import Spectrum, SpectrumMeta, _as_dense
 from .errors import ConfigurationError, ResourceError
 
 __all__ = ["TensorSystem", "materialize", "spectral_sum"]
@@ -45,15 +47,8 @@ class TensorSystem:
 
     @property
     def sizes(self) -> tuple:
-        sizes = []
-        for K, _ in self.factors:
-            n = K.n if hasattr(K, "n") else np.asarray(K).shape[0]
-            sizes.append(n)
-        return tuple(sizes)
-
-
-def _dense(a) -> np.ndarray:
-    return a.to_dense() if hasattr(a, "to_dense") else np.asarray(a, dtype=float)
+        return tuple(K.n if hasattr(K, "n") else np.asarray(K).shape[0]
+                     for K, _ in self.factors)
 
 
 def materialize(system: TensorSystem, size_cap: int = DEFAULT_SIZE_CAP):
@@ -69,7 +64,7 @@ def materialize(system: TensorSystem, size_cap: int = DEFAULT_SIZE_CAP):
             f"materialized system would have {total} rows (cap {size_cap}); "
             "use spectral_sum instead"
         )
-    mats = [(sps.csr_matrix(_dense(K)), sps.csr_matrix(_dense(M)))
+    mats = [(sps.csr_matrix(_as_dense(K)), sps.csr_matrix(_as_dense(M)))
             for K, M in system.factors]
 
     def kron_chain(parts):
@@ -89,7 +84,15 @@ def materialize(system: TensorSystem, size_cap: int = DEFAULT_SIZE_CAP):
     return K_glob.tocsr(), M_glob.tocsr()
 
 
-def spectral_sum(axis_spectra, meta: SpectrumMeta | None = None) -> Spectrum:
+def _physical_memory() -> float:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def spectral_sum(axis_spectra, meta: SpectrumMeta | None = None,
+                 k: int | None = None) -> Spectrum:
     """Combine per-axis 1D spectra into the d-dimensional spectrum.
 
     Parameters
@@ -98,24 +101,33 @@ def spectral_sum(axis_spectra, meta: SpectrumMeta | None = None) -> Spectrum:
         One entry per axis (2 or 3 axes).
     meta : SpectrumMeta, optional
         Attached to the result.
+    k : int, optional
+        Keep only the k smallest sums, formed from the first k entries of
+        each sorted axis array; a tuple with an index >= k has k tuples at
+        or below it, so the result is bitwise the head of the full sum.
 
     Returns
     -------
     Spectrum
-        All sums of one eigenvalue per axis, sorted ascending; no
+        The sums of one eigenvalue per axis, sorted ascending; no
         eigenvectors (they are tensor products, formed on demand).
+
+    Raises ResourceError, before allocating, when the sums and their
+    sorted copy would not fit in physical memory.
     """
     arrays = []
     for s in axis_spectra:
         arr = s.eigenvalues if isinstance(s, Spectrum) else np.asarray(s, dtype=float)
-        arrays.append(arr)
+        arrays.append(arr if k is None else np.sort(arr)[:k])
     if not 2 <= len(arrays) <= 3:
         raise ConfigurationError(
-            f"spectral_sum supports d in {{2, 3}}, got d = {len(arrays)}"
-        )
-    if len(arrays) == 2:
-        grid = arrays[0][:, None] + arrays[1][None, :]
-    else:
-        grid = (arrays[0][:, None, None] + arrays[1][None, :, None]
-                + arrays[2][None, None, :])
-    return Spectrum(np.sort(grid.ravel(), kind="stable"), None, meta)
+            f"spectral_sum supports d in {{2, 3}}, got d = {len(arrays)}")
+    count = math.prod(len(a) for a in arrays)
+    if 16 * count > _physical_memory():
+        raise ResourceError(
+            f"spectral_sum would need {16 * count / 2**30:.3g} GiB for {count} "
+            "sums and their sorted copy, more than the physical memory")
+    grid = arrays[0]
+    for a in arrays[1:]:
+        grid = np.add.outer(grid, a)
+    return Spectrum(np.sort(grid.ravel(), kind="stable")[:k], None, meta)

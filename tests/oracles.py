@@ -6,6 +6,8 @@ rational arithmetic, and reference matrices are accumulated densely
 with numpy's own Gauss nodes.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -91,3 +93,34 @@ def dense_pair_overintegrated(space, points=20):
             M += wi * np.outer(vi, vi)
             K += wi * np.outer(gi, gi)
     return K, M
+
+
+def smallest_sums_of_squares(dim, count):
+    """The ``count`` smallest sums j1^2 + .. + jd^2 over jk >= 1, ascending.
+
+    Bisects on an exact lattice count (the last index counted with
+    ``math.isqrt``) for the smallest bound T holding ``count`` tuples,
+    then lists every tuple with sum <= T; no index box is sized up front.
+    """
+    def how_many(t):
+        total = 0
+        for head in itertools.product(range(1, math.isqrt(t) + 1), repeat=dim - 1):
+            rest = t - sum(j * j for j in head)
+            if rest < 1:
+                continue
+            total += math.isqrt(rest)
+        return total
+
+    lo, hi = dim, dim
+    while how_many(hi) < count:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if how_many(mid) >= count:
+            hi = mid
+        else:
+            lo = mid + 1
+    sums = sorted(s for combo in itertools.product(range(1, math.isqrt(lo) + 1),
+                                                  repeat=dim)
+                  if (s := sum(j * j for j in combo)) <= lo)
+    return sums[:count]

@@ -2,13 +2,18 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import smallest_sums_of_squares
 
-from igaspectra import (BSplineSpace, ExactSpectrum, Spectrum, condition_report,
-                        convergence_rates, eigenfunction_errors,
-                        eigenvalue_errors, outlier_metric, solve_1d)
+from igaspectra import (BSplineSpace, ConfigurationError, ExactSpectrum,
+                        Spectrum, condition_report, convergence_rates,
+                        eigenfunction_errors, eigenvalue_errors,
+                        outlier_metric, solve_1d, spectral_sum)
 from igaspectra.analysis import ERROR_FLOOR
 from igaspectra.pipeline import convergence_table
 
@@ -28,6 +33,37 @@ def test_exact_spectrum_matches_brute_force_enumeration(dim):
     want = np.pi**2 * np.array(sums[:count])
     got = ExactSpectrum(dim).eigenvalues(count)
     np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from((2, 3)), count=st.integers(1, 1500))
+def test_exact_spectrum_matches_brute_force_box(dim, count):
+    # m^d tuples have every index <= m, so the count-th smallest sum is
+    # at most d m^2; a tuple with an index above B exceeds that bound
+    m = math.ceil(count ** (1 / dim))
+    while m ** dim < count:
+        m += 1
+    B = math.isqrt(dim * m * m - (dim - 1))
+    j2 = np.arange(1, B + 1) ** 2
+    grid = sum(np.ix_(*[j2] * dim))
+    want = np.sort(grid.ravel())[:count]
+    got = ExactSpectrum(dim).eigenvalues(count)
+    assert np.array_equal(got, np.pi**2 * want.astype(float))
+
+
+def test_exact_spectrum_3d_box_stays_small():
+    """250047 = 63^3 values from a box near the cube root, not the square root."""
+    count = 250047
+    tracemalloc.start()
+    try:
+        got = ExactSpectrum(3).eigenvalues(count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a square-root box (502^3 int64 sums) peaks near 1.9 GiB
+    assert peak < 16 * 8 * count
+    want = np.array(smallest_sums_of_squares(3, count), dtype=float)
+    assert np.array_equal(got, np.pi**2 * want)
 
 
 def test_exact_spectrum_validates_input():
@@ -177,6 +213,39 @@ def test_rates_land_in_theory_bands(degree, meshes):
     l2_rate = rates["l2_error_mode1"]
     assert degree - 0.5 <= h1_rate <= degree + 1.2
     assert degree + 0.5 <= l2_rate <= degree + 1.8
+
+
+def _full_sum_convergence(dim, degree, meshes, modes):
+    """Reference route: convergence_table rows and rates from every N^d sum."""
+    rows = []
+    for n in meshes:
+        axis = solve_1d(degree, n, want_vectors=False)
+        rep = eigenvalue_errors(spectral_sum([axis] * dim), ExactSpectrum(dim))
+        row = {"n_elements": n, "h": 1.0 / n}
+        for mode in modes:
+            row[f"lambda_rel_error_mode{mode}"] = float(rep.relative_errors[mode - 1])
+        rows.append(row)
+    h = np.array([r["h"] for r in rows])
+    rates = {key: convergence_rates(h, np.array([r[key] for r in rows]))
+             for key in rows[0] if key not in ("n_elements", "h")}
+    return rows, rates
+
+
+@pytest.mark.parametrize("dim,degree,meshes,modes", [
+    (2, 3, (4, 8, 16), (1, 6)),
+    (2, 5, (3, 6, 12), (1, 10)),
+    (3, 3, (3, 6, 9), (1, 6)),
+    (3, 4, (2, 4, 6), (1, 2, 10)),
+])
+def test_nd_convergence_table_matches_full_sum_route(dim, degree, meshes, modes):
+    assert convergence_table(dim, degree, meshes, modes) == \
+        _full_sum_convergence(dim, degree, meshes, modes)
+
+
+def test_nd_mode_beyond_resolution_is_refused():
+    # degree 2 on one element leaves one DOF per axis, one mode in 2D
+    with pytest.raises(ConfigurationError, match="mode 3 not resolvable with 1 DOFs"):
+        convergence_table(2, 2, (1, 2, 3), (3,))
 
 
 def test_condition_report_identities():

@@ -165,6 +165,22 @@ def test_numeric_failures_exit_3(capsys, monkeypatch):
     assert "numerical error" in err
 
 
+def test_memory_error_exits_3_without_output(capsys, monkeypatch, tmp_path):
+    from igaspectra import cli
+
+    def boom(cfg):
+        raise MemoryError("synthetic allocation failure")
+
+    monkeypatch.setitem(cli._RUNNERS, "condition", boom)
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(capsys, "condition", "--dim", "3", "--degree", "3",
+                            "--elements", "5", "--out", str(out))
+    assert code == 3
+    assert "out of memory" in err
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_output_path_exits_3(capsys, tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "out.csv"
     code, _, err = run(capsys, "spectrum", "--dim", "1", "--degree", "2",

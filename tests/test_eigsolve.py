@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from igaspectra import (DefinitenessError, Spectrum, SpectrumMeta, build_1d,
-                        smallest_and_largest, solve_generalized)
+                        solve_generalized)
 
 
 def test_linear_elements_reproduce_dispersion_closed_form():
@@ -97,11 +97,3 @@ def test_spectrum_requires_ascending_eigenvalues():
     with pytest.raises(ValueError):
         Spectrum(np.array([[1.0, 2.0]]))
     assert Spectrum(np.array([1.0, 1.0, 2.0])).n == 3
-
-
-def test_smallest_and_largest_match_full_solve():
-    _, K, M = build_1d(3, 10)
-    lo, hi = smallest_and_largest(K, M)
-    spec = solve_generalized(K, M, want_vectors=False)
-    assert lo == spec.eigenvalues[0]
-    assert hi == spec.eigenvalues[-1]

@@ -1,14 +1,17 @@
 """Tensor products: Kronecker structure, eigenvalue sums, size caps."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igaspectra import (ConfigurationError, ResourceError, Spectrum,
-                        TensorSystem, build_1d, materialize, solve_1d,
-                        spectral_sum)
+                        TensorSystem, build_1d, condition_report,
+                        condition_summary, materialize, solve_1d, spectral_sum)
 
 
 def _sym(rng, n):
@@ -92,6 +95,47 @@ def test_spectral_sum_agrees_with_dense_solve_of_materialized_pair(
     K, M = materialize(TensorSystem(((K1, M1),) * dim))
     lam = np.sort(sla.eigh(K.toarray(), M.toarray(), eigvals_only=True))
     assert np.max(np.abs(spec.eigenvalues - lam) / lam) <= 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(axes=st.lists(st.lists(st.integers(-20, 20), min_size=1, max_size=6),
+                     min_size=2, max_size=3),
+       k=st.integers(1, 40))
+def test_spectral_sum_invariants(axes, k):
+    # eighths: every sum is exact, ties are frequent
+    arrays = [np.array(a) / 8.0 for a in axes]
+    full = spectral_sum(arrays).eigenvalues
+    assert len(full) == np.prod([len(a) for a in arrays])
+    assert np.all(np.diff(full) >= 0)
+    assert full[0] == sum(a.min() for a in arrays)
+    assert full[-1] == sum(a.max() for a in arrays)
+    assert np.array_equal(spectral_sum(arrays, k=k).eigenvalues, full[:k])
+
+
+def test_spectral_sum_refuses_before_allocating():
+    axis = np.arange(1.0, 10_001.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="GiB for 1000000000000 sums"):
+            spectral_sum([axis] * 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _condition_from_full_sums(dim, degree, n_elements):
+    """Reference route: condition_report over every sorted N^d sum."""
+    base = solve_1d(degree, n_elements, "gauss", penalty=False, want_vectors=False)
+    treat = solve_1d(degree, n_elements, "blended", penalty=True, want_vectors=False)
+    return condition_report(spectral_sum([base] * dim), spectral_sum([treat] * dim))
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("degree,n_elements", [(3, 12), (4, 9), (5, 7)])
+def test_condition_summary_matches_full_sum_route(dim, degree, n_elements):
+    assert condition_summary(dim, degree, n_elements) == \
+        _condition_from_full_sums(dim, degree, n_elements)
 
 
 def test_materialize_refuses_oversized_systems():
