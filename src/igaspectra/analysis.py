@@ -148,18 +148,15 @@ def eigenfunction_errors(spectrum: Spectrum, space: BSplineSpace,
     exact = ExactSpectrum(1)
 
     rule = gauss_legendre(p + 4)
-    # tabulate basis values/gradients once per element
-    tables = []
-    for e in range(n_el):
-        elem = map_to_element(rule, e * h, (e + 1) * h)
-        span = kv.span_of_element(e)
-        vals = np.empty((rule.m, p + 1))
-        grads = np.empty((rule.m, p + 1))
-        for q, x in enumerate(elem.nodes):
-            ders = kv.all_basis_ders(span, x, 1)
-            vals[q] = ders[0]
-            grads[q] = ders[1]
-        tables.append((elem, span - p, vals, grads))
+    # basis values/gradients, (element, node, function), one node at a time
+    e = np.arange(n_el)
+    elem = map_to_element(rule, e * h, (e + 1) * h)
+    vals = np.empty((n_el, rule.m, p + 1))
+    grads = np.empty((n_el, rule.m, p + 1))
+    for q in range(rule.m):
+        ders = kv.all_basis_ders(kv.span_of_element(e), elem.nodes[:, q], 1)
+        vals[:, q] = ders[:, 0]
+        grads[:, q] = ders[:, 1]
 
     h1 = np.empty(len(modes))
     l2 = np.empty(len(modes))
@@ -172,21 +169,21 @@ def eigenfunction_errors(spectrum: Spectrum, space: BSplineSpace,
 
         norm2 = 0.0
         inner = 0.0
-        for elem, first, vals, grads in tables:
-            coeff = U_full[first : first + p + 1]
-            uh = vals @ coeff
-            norm2 += np.dot(elem.weights, uh * uh)
-            inner += np.dot(elem.weights, uh * u_ex(elem.nodes))
+        for i in range(n_el):
+            coeff = U_full[i : i + p + 1]
+            uh = vals[i] @ coeff
+            norm2 += np.dot(elem.weights[i], uh * uh)
+            inner += np.dot(elem.weights[i], uh * u_ex(elem.nodes[i]))
         scale = (1.0 if inner >= 0 else -1.0) / math.sqrt(norm2)
 
         e_h1 = 0.0
         e_l2 = 0.0
-        for elem, first, vals, grads in tables:
-            coeff = scale * U_full[first : first + p + 1]
-            du = grads @ coeff - du_ex(elem.nodes)
-            dv = vals @ coeff - u_ex(elem.nodes)
-            e_h1 += np.dot(elem.weights, du * du)
-            e_l2 += np.dot(elem.weights, dv * dv)
+        for i in range(n_el):
+            coeff = scale * U_full[i : i + p + 1]
+            du = grads[i] @ coeff - du_ex(elem.nodes[i])
+            dv = vals[i] @ coeff - u_ex(elem.nodes[i])
+            e_h1 += np.dot(elem.weights[i], du * du)
+            e_l2 += np.dot(elem.weights[i], dv * dv)
         h1[k] = math.sqrt(e_h1)
         l2[k] = math.sqrt(e_l2)
     return FunctionErrors(tuple(modes), h1, l2)

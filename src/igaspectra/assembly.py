@@ -89,60 +89,14 @@ class SymBandMatrix:
             raise ConfigurationError("band data shape mismatch")
         self.data = data
 
-    def add(self, i: int, j: int, value: float) -> None:
-        """Accumulate into entry (i, j), i >= j, inside the band."""
-        k = i - j
-        if k < 0 or k > self.bandwidth:
-            raise IndexError(f"entry ({i}, {j}) outside band of width {self.bandwidth}")
-        self.data[k, j] += value
-
-    def entry(self, i: int, j: int) -> float:
-        if i < j:
-            i, j = j, i
-        k = i - j
-        if k > self.bandwidth:
-            return 0.0
-        return float(self.data[k, j])
-
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for k in range(self.bandwidth + 1):
+        for k in range(min(self.bandwidth, self.n - 1) + 1):
             vals = self.data[k, : self.n - k]
             idx = np.arange(self.n - k)
             a[idx + k, idx] = vals
             a[idx, idx + k] = vals
         return a
-
-    def copy(self) -> "SymBandMatrix":
-        return SymBandMatrix(self.n, self.bandwidth, self.data.copy())
-
-    # --- plain text dump: header "n bandwidth", then one row per diagonal ---
-
-    def write_text(self, path) -> None:
-        """Dump to text: header line "n bandwidth", then band rows.
-
-        Row k lists the n - k entries of diagonal offset k, whitespace
-        separated, 17 significant digits.
-        """
-        lines = [f"{self.n} {self.bandwidth}"]
-        for k in range(self.bandwidth + 1):
-            row = self.data[k, : self.n - k]
-            lines.append(" ".join(f"{v:.17g}" for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def read_text(cls, path) -> "SymBandMatrix":
-        with open(path) as fh:
-            header = fh.readline().split()
-            n, bw = int(header[0]), int(header[1])
-            out = cls(n, bw)
-            for k in range(bw + 1):
-                row = np.array([float(v) for v in fh.readline().split()])
-                if len(row) != n - k:
-                    raise ValueError(f"band row {k} has {len(row)} entries, expected {n - k}")
-                out.data[k, : n - k] = row
-        return out
 
 
 def _rule_parts(rule) -> list[tuple[QuadratureRule, float]]:
@@ -194,31 +148,27 @@ def assemble_1d(space: BSplineSpace, rule, penalty: PenaltyConfig | None = None
     K = SymBandMatrix(n_dof, p)
     M = SymBandMatrix(n_dof, p)
 
-    k_loc = np.empty((p + 1, p + 1))
-    m_loc = np.empty((p + 1, p + 1))
-    for e in range(n):
-        a, b = e * h, (e + 1) * h
-        span = kv.span_of_element(e)
-        k_loc[:] = 0.0
-        m_loc[:] = 0.0
-        for qrule, coeff in parts:
-            elem = map_to_element(qrule, a, b)
-            for x, w in zip(elem.nodes, coeff * elem.weights):
-                ders = kv.all_basis_ders(span, x, 1)
-                vals, grads = ders[0], ders[1]
-                m_loc += w * np.outer(vals, vals)
-                k_loc += w * np.outer(grads, grads)
-        first = span - p  # full-basis index of the first local function
-        for la in range(p + 1):
-            gi = first + la - 1  # interior index
-            if gi < 0 or gi >= n_dof:
-                continue
-            for lb in range(la + 1):
-                gj = first + lb - 1
-                if gj < 0 or gj >= n_dof:
-                    continue
-                K.add(gi, gj, k_loc[la, lb])
-                M.add(gi, gj, m_loc[la, lb])
+    # every element at once, one quadrature node at a time
+    e = np.arange(n)
+    spans = kv.span_of_element(e)
+    k_loc = np.zeros((n, p + 1, p + 1))
+    m_loc = np.zeros((n, p + 1, p + 1))
+    for qrule, coeff in parts:
+        elem = map_to_element(qrule, e * h, (e + 1) * h)
+        w = coeff * elem.weights
+        for q in range(qrule.m):
+            ders = kv.all_basis_ders(spans, elem.nodes[:, q], 1)
+            vals, grads = ders[:, 0], ders[:, 1]
+            m_loc += w[:, q, None, None] * (vals[:, :, None] * vals[:, None, :])
+            k_loc += w[:, q, None, None] * (grads[:, :, None] * grads[:, None, :])
+    # local (la, lb) of element e is entry (e+la-1, e+lb-1); descending la
+    # adds each band entry's contributions in element order
+    for la in range(p, -1, -1):
+        for lb in range(la, -1, -1):
+            lo = max(0, 1 - lb)
+            hi = max(lo, min(n, n_dof + 1 - la))
+            K.data[la - lb, lo + lb - 1 : hi + lb - 1] += k_loc[lo:hi, la, lb]
+            M.data[la - lb, lo + lb - 1 : hi + lb - 1] += m_loc[lo:hi, la, lb]
 
     if penalty.enabled:
         pi2 = math.pi * math.pi
@@ -228,10 +178,10 @@ def assemble_1d(space: BSplineSpace, rule, penalty: PenaltyConfig | None = None
             cb = penalty.eta_b[level - 1] * h ** (6 * level - 1)
             for vec in (d0, d1):
                 nz = np.flatnonzero(vec)
-                for i in nz:
-                    for j in nz[nz <= i]:
-                        K.add(int(i), int(j), ca * vec[i] * vec[j])
-                        M.add(int(i), int(j), cb * vec[i] * vec[j])
+                i, j = np.meshgrid(nz, nz, indexing="ij")
+                i, j = i[j <= i], j[j <= i]
+                K.data[i - j, j] += ca * vec[i] * vec[j]
+                M.data[i - j, j] += cb * vec[i] * vec[j]
 
     return K, M
 

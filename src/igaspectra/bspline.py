@@ -74,18 +74,24 @@ class KnotVector:
     def span_of_element(self, e: int) -> int:
         return self.degree + e
 
-    def all_basis_ders(self, span: int, x: float, n_ders: int) -> np.ndarray:
-        """Nonzero basis functions and derivatives on one knot span.
+    def all_basis_ders(self, span, x, n_ders: int) -> np.ndarray:
+        """Nonzero basis functions and derivatives on knot spans.
 
-        Returns an array ``ders`` of shape (n_ders+1, p+1) where
-        ``ders[k, j]`` is the k-th derivative of basis function
-        ``span - p + j`` at ``x``.  Requires 0 <= n_ders <= p.
+        ``span`` and ``x`` are scalars or broadcastable arrays, one span
+        per point.  Returns an array ``ders`` of shape
+        ``x.shape + (n_ders+1, p+1)`` where ``ders[..., k, j]`` is the
+        k-th derivative of basis function ``span - p + j`` at ``x``.
+        Every point goes through the same floating-point operations, so
+        an array call equals the scalar calls bit for bit.  Requires
+        0 <= n_ders <= p.
         """
         p = self.degree
         t = self.knots
-        ndu = np.empty((p + 1, p + 1))
-        left = np.empty(p + 1)
-        right = np.empty(p + 1)
+        span, x = np.broadcast_arrays(np.asarray(span), np.asarray(x, dtype=float))
+        shape = x.shape
+        ndu = np.empty((p + 1, p + 1) + shape)
+        left = np.empty((p + 1,) + shape)
+        right = np.empty((p + 1,) + shape)
         ndu[0, 0] = 1.0
         for j in range(1, p + 1):
             left[j] = x - t[span + 1 - j]
@@ -99,9 +105,9 @@ class KnotVector:
                 saved = left[j - r] * temp
             ndu[j, j] = saved
 
-        ders = np.zeros((n_ders + 1, p + 1))
-        ders[0, :] = ndu[:, p]
-        a = np.empty((2, p + 1))
+        ders = np.zeros((n_ders + 1, p + 1) + shape)
+        ders[0] = ndu[:, p]
+        a = np.empty((2, p + 1) + shape)
         for r in range(p + 1):
             s1, s2 = 0, 1
             a[0, 0] = 1.0
@@ -125,9 +131,9 @@ class KnotVector:
 
         factor = float(p)
         for k in range(1, n_ders + 1):
-            ders[k, :] *= factor
+            ders[k] *= factor
             factor *= p - k
-        return ders
+        return np.moveaxis(ders, (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ class ExperimentConfig:
     modes: tuple = (1, 6)
     fmt: str = "csv"
     out: str | None = None
-    threads: int = 1
 
     def validate(self) -> None:
         if self.command not in ("spectrum", "convergence", "condition"):
@@ -69,13 +68,13 @@ class ExperimentConfig:
         if self.penalty not in ("on", "off"):
             raise ConfigurationError(
                 f"--penalty must be on or off, got '{self.penalty}'")
+        if self.command == "convergence" and not self.modes:
+            raise ConfigurationError("convergence needs at least one --modes entry")
         for m in self.modes:
             if m < 1:
                 raise ConfigurationError(f"--modes entries must be >= 1, got {m}")
         if self.fmt not in ("csv", "json"):
             raise ConfigurationError(f"--format must be csv or json, got '{self.fmt}'")
-        if self.threads < 1:
-            raise ConfigurationError(f"--threads must be >= 1, got {self.threads}")
 
     def as_dict(self) -> dict:
         return {
@@ -87,7 +86,6 @@ class ExperimentConfig:
             "penalty": self.penalty,
             "modes": list(self.modes),
             "format": self.fmt,
-            "threads": self.threads,
         }
 
 
@@ -191,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mode ranks tracked by convergence runs")
         s.add_argument("--format", dest="fmt", default="csv", help="csv or json")
         s.add_argument("--out", default=None, help="output path (default: stdout)")
-        s.add_argument("--threads", type=int, default=1,
-                       help="thread cap for the linear algebra backend")
     return parser
 
 
@@ -209,11 +205,9 @@ def main(argv=None) -> int:
         command=args.command, dim=args.dim, degree=args.degree,
         elements=tuple(args.elements), quadrature=args.quadrature,
         penalty=args.penalty, modes=tuple(args.modes), fmt=args.fmt,
-        out=args.out, threads=args.threads)
+        out=args.out)
     try:
         cfg.validate()
-        if cfg.threads >= 1:
-            _limit_threads(cfg.threads)
         result = _RUNNERS[cfg.command](cfg)
         text = render(result, cfg.fmt)
         if cfg.out is None:
@@ -233,15 +227,6 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-def _limit_threads(k: int) -> None:
-    # best effort; solves here are small and effectively single threaded
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=k)
-    except Exception:
-        pass
 
 
 if __name__ == "__main__":

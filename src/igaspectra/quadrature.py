@@ -69,7 +69,7 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class ElementRule:
-    """A rule mapped onto a physical element [a, b]."""
+    """A rule mapped onto physical elements, one row per element."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -214,16 +214,15 @@ def optimal_blending(degree: int) -> BlendedRule:
     return BlendedRule(gauss_legendre(m), gauss_lobatto(m), eta)
 
 
-def map_to_element(rule, a: float, b: float):
-    """Map a rule from [-1, 1] onto [a, b] (a < b).
+def map_to_element(rule: QuadratureRule, a, b) -> ElementRule:
+    """Map a plain rule from [-1, 1] onto elements [a, b] (a < b).
 
-    For a plain rule returns an ElementRule; for a BlendedRule returns a
-    list of (ElementRule, coefficient) pairs.
+    ``a`` and ``b`` are scalars or equal-length arrays of endpoints; for
+    arrays, row e of the returned nodes and weights belongs to element e.
     """
-    if not b > a:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not np.all(b > a):
         raise ValueError(f"degenerate element [{a}, {b}]")
-    if isinstance(rule, BlendedRule):
-        return [(map_to_element(r, a, b), c) for r, c in rule.parts()]
-    mid = 0.5 * (a + b)
-    scale = 0.5 * (b - a)
+    mid = (0.5 * (a + b))[..., None]
+    scale = (0.5 * (b - a))[..., None]
     return ElementRule(mid + scale * rule.nodes, scale * rule.weights)

@@ -15,13 +15,12 @@ index i encodes (i_x, i_y, i_z) as i = i_x + n_x * (i_y + n_y * i_z).
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
 
-from .eigsolve import Spectrum, SpectrumMeta, _as_dense
+from .eigsolve import Spectrum, SpectrumMeta, _as_dense, _physical_memory
 from .errors import ConfigurationError, ResourceError
 
 __all__ = ["TensorSystem", "materialize", "spectral_sum"]
@@ -82,13 +81,6 @@ def materialize(system: TensorSystem, size_cap: int = DEFAULT_SIZE_CAP):
         term = kron_chain(parts)
         K_glob = term if K_glob is None else K_glob + term
     return K_glob.tocsr(), M_glob.tocsr()
-
-
-def _physical_memory() -> float:
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return math.inf
 
 
 def spectral_sum(axis_spectra, meta: SpectrumMeta | None = None,

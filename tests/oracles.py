@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from igaspectra.bspline import eval_basis
+from igaspectra.bspline import boundary_derivatives, eval_basis
+from igaspectra.quadrature import BlendedRule
 
 
 def open_uniform_knots(degree, n_elements):
@@ -92,6 +93,50 @@ def dense_pair_overintegrated(space, points=20):
             vi, gi = vals[1:-1], grads[1:-1]
             M += wi * np.outer(vi, vi)
             K += wi * np.outer(gi, gi)
+    return K, M
+
+
+def band_pair_per_entry(space, rule, penalty):
+    """Band data of (K, M) by the scalar element-by-element assembly.
+
+    The original loop structure: one basis call per quadrature point,
+    one element matrix at a time, one band entry at a time, then the
+    endpoint penalty entry by entry.  The vectorized assembly keeps the
+    same floating-point operations in the same order, so it must
+    reproduce these bytes exactly.
+    """
+    kv = space.knot_vector
+    p, n, h, n_dof = space.degree, space.n_elements, space.h, space.n_dof
+    parts = rule.parts() if isinstance(rule, BlendedRule) else [(rule, 1.0)]
+    K = np.zeros((p + 1, n_dof))
+    M = np.zeros((p + 1, n_dof))
+    for e in range(n):
+        a, b = e * h, (e + 1) * h
+        mid, scale = 0.5 * (a + b), 0.5 * (b - a)
+        k_loc = np.zeros((p + 1, p + 1))
+        m_loc = np.zeros((p + 1, p + 1))
+        for qrule, coeff in parts:
+            for x, w in zip(mid + scale * qrule.nodes, coeff * (scale * qrule.weights)):
+                ders = kv.all_basis_ders(p + e, x, 1)
+                m_loc += w * np.outer(ders[0], ders[0])
+                k_loc += w * np.outer(ders[1], ders[1])
+        for la in range(p + 1):
+            for lb in range(la + 1):
+                gi, gj = e + la - 1, e + lb - 1
+                if gj >= 0 and gi < n_dof:
+                    K[la - lb, gj] += k_loc[la, lb]
+                    M[la - lb, gj] += m_loc[la, lb]
+    if penalty.enabled:
+        pi2 = math.pi * math.pi
+        for level in range(1, penalty.alpha + 1):
+            ca = penalty.eta_a[level - 1] * pi2 * h ** (6 * level - 3)
+            cb = penalty.eta_b[level - 1] * h ** (6 * level - 1)
+            for vec in boundary_derivatives(space, 2 * level):
+                nz = np.flatnonzero(vec)
+                for i in nz:
+                    for j in nz[nz <= i]:
+                        K[i - j, j] += ca * vec[i] * vec[j]
+                        M[i - j, j] += cb * vec[i] * vec[j]
     return K, M
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from igaspectra import (BSplineSpace, ConfigurationError, PenaltyConfig,
                         SymBandMatrix, assemble_1d, assemble_1d_reference_gauss,
@@ -12,7 +14,7 @@ from igaspectra.assembly import penalty_order
 from igaspectra.bspline import boundary_derivatives
 from igaspectra.quadrature import BlendedRule
 
-from oracles import dense_pair_overintegrated
+from oracles import band_pair_per_entry, dense_pair_overintegrated
 
 
 def test_penalty_order_floor_table():
@@ -174,30 +176,46 @@ def test_penalty_level_count_is_validated():
 
 
 def test_band_matrix_storage_contract():
-    band = SymBandMatrix(5, 2)
-    band.add(0, 0, 1.5)
-    band.add(3, 1, -2.0)
-    band.add(4, 4, 0.25)
-    assert band.entry(3, 1) == -2.0
-    assert band.entry(1, 3) == -2.0  # symmetric access
-    assert band.entry(0, 4) == 0.0  # outside the band reads as zero
-    with pytest.raises(IndexError):
-        band.add(4, 0, 1.0)
-    with pytest.raises(IndexError):
-        band.add(1, 3, 1.0)  # upper triangle must be addressed as (3, 1)
     with pytest.raises(ConfigurationError):
         SymBandMatrix(0, 1)
 
 
-def test_band_matrix_text_roundtrip(tmp_path):
-    rng = np.random.default_rng(42)
-    band = SymBandMatrix(7, 3)
-    for i in range(7):
-        for j in range(max(0, i - 3), i + 1):
-            band.add(i, j, rng.standard_normal())
-    path = tmp_path / "band.txt"
-    band.write_text(path)
-    back = SymBandMatrix.read_text(path)
-    assert back.n == 7 and back.bandwidth == 3
-    # 17 significant digits reproduce doubles exactly
-    assert np.array_equal(back.data, band.data)
+@pytest.mark.parametrize("n,bandwidth", [(1, 0), (3, 4), (3, 7), (5, 2), (6, 5)])
+def test_band_matrix_to_dense_for_any_bandwidth(n, bandwidth):
+    rng = np.random.default_rng(n * 10 + bandwidth)
+    band = SymBandMatrix(n, bandwidth, rng.standard_normal((bandwidth + 1, n)))
+    want = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - bandwidth), i + 1):
+            want[i, j] = want[j, i] = band.data[i - j, j]
+    assert np.array_equal(band.to_dense(), want)
+
+
+def test_basis_is_tabulated_once_per_node_not_per_point(monkeypatch):
+    from igaspectra.bspline import KnotVector
+
+    calls = []
+    real = KnotVector.all_basis_ders
+    monkeypatch.setattr(KnotVector, "all_basis_ders",
+                        lambda self, *args: calls.append(1) or real(self, *args))
+    for n in (5, 200):
+        calls.clear()
+        assemble_1d(BSplineSpace.create(7, n), optimal_blending(7),
+                    PenaltyConfig.for_degree(7))
+        # 8 Gauss + 8 Lobatto nodes, and both endpoints at 3 penalty levels
+        assert len(calls) == 16 + 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree=st.integers(1, 7), n_elements=st.integers(1, 40),
+       blended=st.booleans(), penalty=st.booleans())
+def test_assembly_reproduces_per_entry_oracle_bitwise(degree, n_elements,
+                                                      blended, penalty):
+    assume(n_elements + degree > 2)
+    space = BSplineSpace.create(degree, n_elements)
+    rule = optimal_blending(degree) if blended else gauss_legendre(degree + 1)
+    pen = PenaltyConfig.for_degree(degree, enabled=penalty)
+    K, M = assemble_1d(space, rule, pen)
+    K_ref, M_ref = band_pair_per_entry(space, rule, pen)
+    assert np.array_equal(K.data, K_ref)
+    assert np.array_equal(M.data, M_ref)

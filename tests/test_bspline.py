@@ -80,6 +80,20 @@ def test_boundary_derivatives_match_exact_recursion(degree, n_elements):
         np.testing.assert_allclose(at1, want1, rtol=0.0, atol=1e-13 * scale)
 
 
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_array_evaluation_equals_scalar_calls_bitwise(degree):
+    kv = KnotVector(degree, 7)
+    x = np.linspace(0.0, 1.0, 29).reshape(29, 1) + np.zeros((1, 2))
+    span = np.minimum((x * 7).astype(int), 6) + degree
+    for n_ders in range(degree + 1):
+        ders = kv.all_basis_ders(span, x, n_ders)
+        assert ders.shape == (29, 2, n_ders + 1, degree + 1)
+        for i, j in np.ndindex(29, 2):
+            one = kv.all_basis_ders(int(span[i, j]), float(x[i, j]), n_ders)
+            assert one.shape == (n_ders + 1, degree + 1)
+            assert np.array_equal(ders[i, j], one)
+
+
 def test_boundary_derivative_support_is_p_minus_1_functions():
     """Only the p-1 functions nearest an end see it, for orders below p."""
     for degree in (2, 3, 5, 7):

@@ -1,10 +1,17 @@
 """Command line front end: formats, exit codes, determinism, atomic output."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from igaspectra import ConfigurationError, NumericError
 from igaspectra.cli import ExperimentConfig, main
@@ -139,7 +146,7 @@ def test_output_file_is_replaced_atomically(tmp_path):
     ["condition", "--elements", "4,8"],
     ["spectrum", "--elements", "0"],
     ["spectrum", "--modes", "0"],
-    ["spectrum", "--threads", "0"],
+    ["convergence", "--elements", "5,10,20", "--modes", ""],
     ["spectrum", "--quadrature", "exotic"],
     ["spectrum", "--penalty", "maybe"],
     ["spectrum", "--format", "yaml"],
@@ -204,3 +211,50 @@ def test_experiment_config_validation_is_exhaustive():
         ExperimentConfig("inspect", 1, 3, (8,)).validate()
     with pytest.raises(ConfigurationError):
         ExperimentConfig("spectrum", 1, 3, ()).validate()
+
+
+def _ints(lo, hi, min_size, max_size):
+    return st.lists(st.integers(lo, hi), min_size=min_size, max_size=max_size).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
+# the two crashes (exit 1) this property found: a band wider than the
+# matrix in to_dense, and convergence with an empty --modes list
+@example(command="spectrum", dim=1, degree=4, elements="1", quadrature="blended",
+         penalty="on", modes="1", fmt="csv", to_file=True)
+@example(command="convergence", dim=1, degree=3, elements="4,5,6",
+         quadrature="gauss", penalty="off", modes="", fmt="json", to_file=False)
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["spectrum", "convergence", "condition"]),
+       dim=st.integers(1, 3), degree=st.integers(0, 8),
+       elements=_ints(0, 6, 1, 4), quadrature=st.sampled_from(["gauss", "blended"]),
+       penalty=st.sampled_from(["on", "off"]), modes=_ints(0, 8, 0, 3),
+       fmt=st.sampled_from(["csv", "json"]), to_file=st.booleans())
+def test_random_command_lines_exit_0_2_or_3(command, dim, degree, elements,
+                                             quadrature, penalty, modes, fmt,
+                                             to_file):
+    argv = [command, "--dim", str(dim), "--degree", str(degree),
+            "--elements", elements, "--quadrature", quadrature,
+            "--penalty", penalty, "--modes", modes, "--format", fmt]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out.txt"
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(argv + (["--out", str(out)] if to_file else []))
+        assert code in (0, 2, 3)
+        if to_file:
+            assert out.exists() == (code == 0)
+            assert os.listdir(tmp) == (["out.txt"] if code == 0 else [])
+
+
+def test_traced_names_resolve():
+    """Every name the benchmark tracer wraps exists in the package."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr_path, _ in tracer.SPANS:
+        owner = importlib.import_module(f"igaspectra.{module}")
+        for part in attr_path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module}.{attr_path}"

@@ -1,10 +1,12 @@
 """Generalized eigensolver: accuracy contracts and failure modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from igaspectra import (DefinitenessError, Spectrum, SpectrumMeta, build_1d,
-                        solve_generalized)
+from igaspectra import (DefinitenessError, ResourceError, Spectrum, SpectrumMeta,
+                        SymBandMatrix, build_1d, solve_generalized)
 
 
 def test_linear_elements_reproduce_dispersion_closed_form():
@@ -97,3 +99,18 @@ def test_spectrum_requires_ascending_eigenvalues():
     with pytest.raises(ValueError):
         Spectrum(np.array([[1.0, 2.0]]))
     assert Spectrum(np.array([1.0, 1.0, 2.0])).n == 3
+
+
+def test_dense_solve_refuses_before_allocating():
+    # 10^6 unknowns: the dense pair would take 40 TB; the band data is
+    # zero-filled on demand and allocated before tracing starts
+    K = SymBandMatrix(10**6, 1)
+    M = SymBandMatrix(10**6, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="GiB for 1000000 unknowns"):
+            solve_generalized(K, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from igaspectra import (BlendedRule, ConfigurationError, blending_weight,
+from igaspectra import (ConfigurationError, blending_weight,
                         gauss_legendre, gauss_lobatto, map_to_element,
                         optimal_blending)
 
@@ -176,15 +176,14 @@ def test_map_to_element_affine():
     assert elem.weights.sum() == pytest.approx(0.2, abs=1e-15)
     assert np.all((elem.nodes >= 0.2) & (elem.nodes <= 0.4))
 
-
-def test_map_to_element_blended_returns_weighted_parts():
-    blend = optimal_blending(2)
-    mapped = map_to_element(blend, 0.0, 0.25)
-    assert len(mapped) == 2
-    (eg, cg), (el, cl) = mapped
-    assert cg == blend.eta and cl == 1.0 - blend.eta
-    assert eg.weights.sum() == pytest.approx(0.25, abs=1e-15)
-    assert el.weights.sum() == pytest.approx(0.25, abs=1e-15)
+    # arrays of endpoints: row e is element e, bitwise as mapped alone
+    a, b = np.array([0.0, 0.2, 0.5]), np.array([0.2, 0.5, 0.9])
+    rows = map_to_element(gauss_legendre(3), a, b)
+    assert rows.nodes.shape == rows.weights.shape == (3, 3)
+    for e in range(3):
+        one = map_to_element(gauss_legendre(3), float(a[e]), float(b[e]))
+        assert np.array_equal(rows.nodes[e], one.nodes)
+        assert np.array_equal(rows.weights[e], one.weights)
 
 
 def test_map_to_element_rejects_degenerate_interval():
@@ -192,6 +191,8 @@ def test_map_to_element_rejects_degenerate_interval():
         map_to_element(gauss_legendre(2), 0.5, 0.5)
     with pytest.raises(ValueError):
         map_to_element(gauss_legendre(2), 0.7, 0.2)
+    with pytest.raises(ValueError):
+        map_to_element(gauss_legendre(2), np.array([0.0, 0.5]), np.array([0.5, 0.5]))
 
 
 def test_point_count_lower_bounds():
