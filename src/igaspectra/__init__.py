@@ -20,7 +20,7 @@ from .analysis import (ConditionReport, ErrorReport, ExactSpectrum,
 from .assembly import (PenaltyConfig, SymBandMatrix, assemble_1d,
                        assemble_1d_reference_gauss)
 from .bspline import BSplineSpace, KnotVector, boundary_derivatives, eval_basis
-from .eigsolve import Spectrum, SpectrumMeta, solve_generalized
+from .eigsolve import Spectrum, solve_generalized
 from .errors import (ConfigurationError, DefinitenessError, NumericError,
                      ResourceError)
 from .pipeline import (build_1d, condition_summary, convergence_table,
@@ -38,7 +38,7 @@ __all__ = [
     "gauss_lobatto", "optimal_blending", "blending_weight", "map_to_element",
     "PenaltyConfig", "SymBandMatrix", "assemble_1d", "assemble_1d_reference_gauss",
     "TensorSystem", "materialize", "spectral_sum",
-    "Spectrum", "SpectrumMeta", "solve_generalized",
+    "Spectrum", "solve_generalized",
     "ExactSpectrum", "ErrorReport", "FunctionErrors", "ConditionReport",
     "OutlierMetric", "eigenvalue_errors", "eigenfunction_errors",
     "convergence_rates", "condition_report", "outlier_metric",

@@ -195,7 +195,7 @@ def convergence_rates(h_values, errors, floor: float = ERROR_FLOOR):
     Parameters
     ----------
     h_values, errors : array-like
-        Mesh sizes (>= 3 of them, coarsest first) and the matching
+        Mesh sizes (>= 3 of them, strictly decreasing) and the matching
         error values.
     floor : float
         Errors at or below this are machine-precision noise.  The fit
@@ -216,6 +216,8 @@ def convergence_rates(h_values, errors, floor: float = ERROR_FLOOR):
         raise ValueError("h_values and errors must be 1D arrays of equal length")
     if len(h) < 3:
         raise ValueError("need at least 3 meshes for a convergence rate")
+    if not np.all(np.diff(h) < 0):
+        raise ValueError("h_values must strictly decrease (coarsest mesh first)")
     above = np.nonzero(e <= floor)[0]
     stop = above[0] if len(above) else len(e)
     if stop < 2:

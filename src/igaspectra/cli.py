@@ -59,6 +59,8 @@ class ExperimentConfig:
         if self.command == "convergence" and len(self.elements) < 3:
             raise ConfigurationError(
                 "convergence needs at least 3 meshes in --elements")
+        if self.command == "convergence" and list(self.elements) != sorted(set(self.elements)):
+            raise ConfigurationError("convergence needs strictly increasing --elements")
         if self.command in ("spectrum", "condition") and len(self.elements) != 1:
             raise ConfigurationError(
                 f"{self.command} takes exactly one mesh in --elements")

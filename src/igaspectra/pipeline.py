@@ -12,7 +12,7 @@ from .analysis import (ExactSpectrum, condition_report, convergence_rates,
                        eigenfunction_errors, eigenvalue_errors)
 from .assembly import PenaltyConfig, assemble_1d, assemble_1d_reference_gauss
 from .bspline import BSplineSpace
-from .eigsolve import Spectrum, SpectrumMeta, solve_generalized
+from .eigsolve import Spectrum, _check_dense_fits, solve_generalized
 from .errors import ConfigurationError
 from .quadrature import optimal_blending
 from .tensor import spectral_sum
@@ -41,11 +41,10 @@ def build_1d(degree: int, n_elements: int, quadrature: str = "blended",
 
 def solve_1d(degree: int, n_elements: int, quadrature: str = "blended",
              penalty: bool = True, want_vectors: bool = True) -> Spectrum:
-    """Solve the 1D problem; returns a Spectrum with metadata attached."""
-    space, K, M = build_1d(degree, n_elements, quadrature, penalty)
-    meta = SpectrumMeta(degree, (n_elements,), 1, quadrature,
-                        "on" if penalty else "off")
-    return solve_generalized(K, M, want_vectors=want_vectors, meta=meta)
+    """Solve the 1D problem; refuses an oversized mesh before assembling it."""
+    _check_dense_fits(max(n_elements + degree - 2, 0))  # n_dof, known up front
+    _, K, M = build_1d(degree, n_elements, quadrature, penalty)
+    return solve_generalized(K, M, want_vectors=want_vectors)
 
 
 def solve_nd(dim: int, degree: int, n_elements: int, quadrature: str = "blended",
@@ -60,9 +59,7 @@ def solve_nd(dim: int, degree: int, n_elements: int, quadrature: str = "blended"
                     want_vectors=(dim == 1))
     if dim == 1:
         return axis
-    meta = SpectrumMeta(degree, (n_elements,) * dim, dim, quadrature,
-                        "on" if penalty else "off")
-    return spectral_sum([axis] * dim, meta, k=k)
+    return spectral_sum([axis] * dim, k=k)
 
 
 def spectrum_rows(dim: int, degree: int, n_elements: int,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sps
 
-from .eigsolve import Spectrum, SpectrumMeta, _as_dense, _physical_memory
+from .eigsolve import Spectrum, _as_dense, _physical_memory
 from .errors import ConfigurationError, ResourceError
 
 __all__ = ["TensorSystem", "materialize", "spectral_sum"]
@@ -83,16 +83,13 @@ def materialize(system: TensorSystem, size_cap: int = DEFAULT_SIZE_CAP):
     return K_glob.tocsr(), M_glob.tocsr()
 
 
-def spectral_sum(axis_spectra, meta: SpectrumMeta | None = None,
-                 k: int | None = None) -> Spectrum:
+def spectral_sum(axis_spectra, k: int | None = None) -> Spectrum:
     """Combine per-axis 1D spectra into the d-dimensional spectrum.
 
     Parameters
     ----------
     axis_spectra : sequence of Spectrum or 1D arrays
         One entry per axis (2 or 3 axes).
-    meta : SpectrumMeta, optional
-        Attached to the result.
     k : int, optional
         Keep only the k smallest sums, formed from the first k entries of
         each sorted axis array; a tuple with an index >= k has k tuples at
@@ -122,4 +119,4 @@ def spectral_sum(axis_spectra, meta: SpectrumMeta | None = None,
     grid = arrays[0]
     for a in arrays[1:]:
         grid = np.add.outer(grid, a)
-    return Spectrum(np.sort(grid.ravel(), kind="stable")[:k], None, meta)
+    return Spectrum(np.sort(grid.ravel(), kind="stable")[:k])

@@ -140,6 +140,24 @@ def band_pair_per_entry(space, rule, penalty):
     return K, M
 
 
+def rq_polish_dense(Kd, Md, lam, vec):
+    """Re-evaluate eigenvalues as extended-precision Rayleigh quotients.
+
+    The dense form: full longdouble products K @ V and M @ V at O(n^3),
+    then the column-wise inner products.  Returns (lam, vec) re-sorted
+    together, since polished values in a near-degenerate cluster may
+    swap order; unpolished if some v^T M v is not positive.
+    """
+    V = vec.astype(np.longdouble)
+    num = np.einsum("ij,ij->j", V, Kd.astype(np.longdouble) @ V)
+    den = np.einsum("ij,ij->j", V, Md.astype(np.longdouble) @ V)
+    if np.any(den <= 0):
+        return lam, vec
+    polished = (num / den).astype(float)
+    order = np.argsort(polished, kind="stable")
+    return polished[order], vec[:, order]
+
+
 def smallest_sums_of_squares(dim, count):
     """The ``count`` smallest sums j1^2 + .. + jd^2 over jk >= 1, ascending.
 

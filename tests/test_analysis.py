@@ -149,7 +149,7 @@ def test_eigenfunction_errors_invariant_under_vector_scaling():
     spec = solve_1d(degree, n)
     space = BSplineSpace.create(degree, n)
     base = eigenfunction_errors(spec, space, (1, 3))
-    rescaled = Spectrum(spec.eigenvalues, spec.eigenvectors * -17.3, spec.meta)
+    rescaled = Spectrum(spec.eigenvalues, spec.eigenvectors * -17.3)
     perturbed = eigenfunction_errors(rescaled, space, (1, 3))
     np.testing.assert_allclose(perturbed.h1, base.h1, rtol=1e-12)
     np.testing.assert_allclose(perturbed.l2, base.l2, rtol=1e-12)
@@ -197,6 +197,11 @@ def test_rate_fit_validates_input():
         convergence_rates([0.5, 0.25, 0.125], [1.0, 0.1])
     assert convergence_rates([0.5, 0.25, 0.125], [1e-3, 1e-4, 2e-14],
                              floor=1e-13) is not None
+    # repeated or ascending meshes leave no abscissa range to fit over
+    with pytest.raises(ValueError, match="strictly decrease"):
+        convergence_rates([0.2, 0.2, 0.2], [1e-3, 1e-4, 1e-5])
+    with pytest.raises(ValueError, match="strictly decrease"):
+        convergence_rates([0.125, 0.25, 0.5], [1e-5, 1e-4, 1e-3])
 
 
 @pytest.mark.parametrize("degree,meshes", [(3, (5, 10, 20, 40)),

@@ -150,6 +150,7 @@ def test_output_file_is_replaced_atomically(tmp_path):
     ["spectrum", "--quadrature", "exotic"],
     ["spectrum", "--penalty", "maybe"],
     ["spectrum", "--format", "yaml"],
+    ["convergence", "--elements", "5,5,5"],
 ])
 def test_invalid_configurations_exit_2_without_output(argv, capsys, tmp_path):
     out = tmp_path / "never.csv"
@@ -219,11 +220,14 @@ def _ints(lo, hi, min_size, max_size):
 
 
 # the two crashes (exit 1) this property found: a band wider than the
-# matrix in to_dense, and convergence with an empty --modes list
+# matrix in to_dense, and convergence with an empty --modes list; and a
+# rate fitted over one repeated mesh, which must be refused (exit 2)
 @example(command="spectrum", dim=1, degree=4, elements="1", quadrature="blended",
          penalty="on", modes="1", fmt="csv", to_file=True)
 @example(command="convergence", dim=1, degree=3, elements="4,5,6",
          quadrature="gauss", penalty="off", modes="", fmt="json", to_file=False)
+@example(command="convergence", dim=1, degree=2, elements="5,5,5",
+         quadrature="blended", penalty="on", modes="1", fmt="csv", to_file=True)
 @settings(max_examples=150, deadline=None)
 @given(command=st.sampled_from(["spectrum", "convergence", "condition"]),
        dim=st.integers(1, 3), degree=st.integers(0, 8),

@@ -4,9 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sps
 
-from igaspectra import (DefinitenessError, ResourceError, Spectrum, SpectrumMeta,
-                        SymBandMatrix, build_1d, solve_generalized)
+from igaspectra import (DefinitenessError, ResourceError, Spectrum, SymBandMatrix,
+                        build_1d, solve_1d, solve_generalized)
+from igaspectra.eigsolve import _lower_band, _rayleigh_quotients
+
+from oracles import rq_polish_dense
 
 
 def test_linear_elements_reproduce_dispersion_closed_form():
@@ -46,11 +51,47 @@ def test_eigenvalues_invariant_under_matrix_scaling():
     np.testing.assert_allclose(scaled.eigenvalues, base.eigenvalues, rtol=1e-12)
 
 
-def test_polish_toggle_changes_nothing_to_leading_order():
-    _, K, M = build_1d(4, 6)
-    a = solve_generalized(K, M, want_vectors=False, polish=True)
-    b = solve_generalized(K, M, want_vectors=False, polish=False)
-    np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, rtol=1e-8)
+def test_eigenvalues_do_not_depend_on_want_vectors():
+    # 405 unknowns: above the size where the polish used to be skipped
+    _, K, M = build_1d(7, 400)
+    with_vectors = solve_generalized(K, M, want_vectors=True)
+    values_only = solve_generalized(K, M, want_vectors=False)
+    assert with_vectors.n == 405
+    assert np.array_equal(with_vectors.eigenvalues, values_only.eigenvalues)
+
+
+@pytest.mark.parametrize("degree,n_elements,quadrature", [
+    (2, 9, "gauss"), (3, 12, "blended"), (5, 9, "blended"), (7, 3, "gauss"),
+    (7, 30, "blended"), (4, 1, "blended")])
+@pytest.mark.parametrize("storage", ["band", "dense", "sparse"])
+def test_band_polish_matches_dense_rayleigh_quotients(degree, n_elements,
+                                                      quadrature, storage):
+    """Band-storage quotients equal the dense O(n^3) form for the same vectors."""
+    _, K, M = build_1d(degree, n_elements, quadrature)
+    Kd, Md = K.to_dense(), M.to_dense()
+    lam, V = sla.eigh(Kd, Md, driver="gvd")
+    want = np.sort(rq_polish_dense(Kd, Md, lam, V)[0])
+    if storage == "band":
+        Ka, Ma = K, M
+    elif storage == "dense":
+        Ka, Ma = Kd, Md
+    else:
+        Ka, Ma = sps.csr_matrix(Kd), sps.csr_matrix(Md)
+    k_band = _lower_band(Ka, Kd)
+    m_band = _lower_band(Ma, Md)
+    got = np.sort(_rayleigh_quotients(k_band, m_band, V))
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_callers_dense_matrices_are_not_overwritten():
+    _, K, M = build_1d(3, 10)
+    Kd, Md = K.to_dense(), M.to_dense()
+    Kc, Mc = Kd.copy(), Md.copy()
+    solve_generalized(Kd, Md)
+    assert np.array_equal(Kd, Kc) and np.array_equal(Md, Mc)
+    Kf, Mf = np.asfortranarray(Kd), np.asfortranarray(Md)
+    solve_generalized(Kf, Mf, want_vectors=False)
+    assert np.array_equal(Kf, Kc) and np.array_equal(Mf, Mc)
 
 
 def test_eigenvector_sign_convention():
@@ -64,12 +105,6 @@ def test_want_vectors_false_returns_none():
     _, K, M = build_1d(2, 5)
     spec = solve_generalized(K, M, want_vectors=False)
     assert spec.eigenvectors is None
-
-
-def test_meta_is_attached_unchanged():
-    _, K, M = build_1d(2, 5)
-    meta = SpectrumMeta(degree=2, elements=(5,), dim=1, quadrature="blended")
-    assert solve_generalized(K, M, meta=meta).meta is meta
 
 
 def test_indefinite_mass_reports_failing_pivot():
@@ -110,6 +145,18 @@ def test_dense_solve_refuses_before_allocating():
     try:
         with pytest.raises(ResourceError, match="GiB for 1000000 unknowns"):
             solve_generalized(K, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_oversized_1d_solve_refuses_before_assembly():
+    # 10^7 elements: the knot vector alone would take 80 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="for 10000001 unknowns"):
+            solve_1d(3, 10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -75,12 +75,9 @@ def test_spectral_sum_keeps_multiplicities():
     assert np.array_equal(spec.eigenvalues, [2.0, 3.0, 3.0, 4.0])
 
 
-def test_spectral_sum_accepts_spectra_and_attaches_meta():
-    from igaspectra import SpectrumMeta
+def test_spectral_sum_accepts_spectra():
     axis = solve_1d(2, 3, want_vectors=False)
-    meta = SpectrumMeta(degree=2, elements=(3, 3), dim=2)
-    spec = spectral_sum([axis, axis], meta)
-    assert spec.meta is meta
+    spec = spectral_sum([axis, axis])
     assert spec.n == axis.n**2
     assert np.all(np.diff(spec.eigenvalues) >= 0)
 
