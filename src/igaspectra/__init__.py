@@ -28,7 +28,7 @@ from .pipeline import (build_1d, condition_summary, convergence_table,
 from .quadrature import (BlendedRule, ElementRule, QuadratureRule,
                          blending_weight, gauss_legendre, gauss_lobatto,
                          map_to_element, optimal_blending)
-from .tensor import TensorSystem, materialize, spectral_sum
+from .tensor import spectral_sum
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,7 @@ __all__ = [
     "QuadratureRule", "BlendedRule", "ElementRule", "gauss_legendre",
     "gauss_lobatto", "optimal_blending", "blending_weight", "map_to_element",
     "PenaltyConfig", "SymBandMatrix", "assemble_1d", "assemble_1d_reference_gauss",
-    "TensorSystem", "materialize", "spectral_sum",
+    "spectral_sum",
     "Spectrum", "solve_generalized",
     "ExactSpectrum", "ErrorReport", "FunctionErrors", "ConditionReport",
     "OutlierMetric", "eigenvalue_errors", "eigenfunction_errors",

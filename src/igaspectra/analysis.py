@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bspline import BSplineSpace
 from .eigsolve import Spectrum
@@ -129,6 +130,16 @@ def eigenvalue_errors(spectrum: Spectrum, exact: ExactSpectrum) -> ErrorReport:
     return ErrorReport(ranks, ranks / n, ex, lam, rel)
 
 
+def _element_sum(weights: np.ndarray, values: np.ndarray) -> float:
+    """Sum over elements i of weights[i] . values[i], added in element order.
+
+    The batched matmul gives each element's dot product and the cumsum
+    adds them one after another, bitwise as a loop over elements would.
+    """
+    per_element = (weights[:, None, :] @ values[:, :, None])[:, 0, 0]
+    return float(np.cumsum(per_element)[-1])
+
+
 def eigenfunction_errors(spectrum: Spectrum, space: BSplineSpace,
                          modes=(1,)) -> FunctionErrors:
     """1D eigenfunction errors in the H1 seminorm and the L2 norm.
@@ -165,27 +176,20 @@ def eigenfunction_errors(spectrum: Spectrum, space: BSplineSpace,
             raise IndexError(f"mode {mode} out of range 1..{spectrum.n}")
         U_full = np.zeros(n_dof + 2)
         U_full[1:-1] = spectrum.eigenvectors[:, mode - 1]
+        # coeff[i] holds the p + 1 coefficients active on element i
+        coeff = sliding_window_view(U_full, p + 1)[:, :, None]
         u_ex, du_ex = exact.eigenfunction_1d(mode)
+        u_q, du_q = u_ex(elem.nodes), du_ex(elem.nodes)
 
-        norm2 = 0.0
-        inner = 0.0
-        for i in range(n_el):
-            coeff = U_full[i : i + p + 1]
-            uh = vals[i] @ coeff
-            norm2 += np.dot(elem.weights[i], uh * uh)
-            inner += np.dot(elem.weights[i], uh * u_ex(elem.nodes[i]))
-        scale = (1.0 if inner >= 0 else -1.0) / math.sqrt(norm2)
+        uh = (vals @ coeff)[..., 0]
+        norm2 = _element_sum(elem.weights, uh * uh)
+        inner = _element_sum(elem.weights, uh * u_q)
+        coeff = (1.0 if inner >= 0 else -1.0) / math.sqrt(norm2) * coeff
 
-        e_h1 = 0.0
-        e_l2 = 0.0
-        for i in range(n_el):
-            coeff = scale * U_full[i : i + p + 1]
-            du = grads[i] @ coeff - du_ex(elem.nodes[i])
-            dv = vals[i] @ coeff - u_ex(elem.nodes[i])
-            e_h1 += np.dot(elem.weights[i], du * du)
-            e_l2 += np.dot(elem.weights[i], dv * dv)
-        h1[k] = math.sqrt(e_h1)
-        l2[k] = math.sqrt(e_l2)
+        du = (grads @ coeff)[..., 0] - du_q
+        dv = (vals @ coeff)[..., 0] - u_q
+        h1[k] = math.sqrt(_element_sum(elem.weights, du * du))
+        l2[k] = math.sqrt(_element_sum(elem.weights, dv * dv))
     return FunctionErrors(tuple(modes), h1, l2)
 
 

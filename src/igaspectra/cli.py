@@ -91,23 +91,10 @@ class ExperimentConfig:
         }
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def _csv_lines(header, rows) -> list[str]:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in header))
-    return lines
-
-
 def run_spectrum(cfg: ExperimentConfig) -> dict:
-    rows = pipeline.spectrum_rows(cfg.dim, cfg.degree, cfg.elements[0],
-                                  cfg.quadrature, cfg.penalty == "on")
-    return {"config": cfg.as_dict(), "rows": rows}
+    columns = pipeline.spectrum_rows(cfg.dim, cfg.degree, cfg.elements[0],
+                                     cfg.quadrature, cfg.penalty == "on")
+    return {"config": cfg.as_dict(), "columns": columns}
 
 
 def run_convergence(cfg: ExperimentConfig) -> dict:
@@ -115,36 +102,38 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
         cfg.dim, cfg.degree, cfg.elements, cfg.modes,
         cfg.quadrature, cfg.penalty == "on")
     rates = {k: (_SATURATED if v is None else v) for k, v in rates.items()}
-    return {"config": cfg.as_dict(), "rows": rows, "rates": rates}
+    columns = {key: [row[key] for row in rows] for key in rows[0]}
+    return {"config": cfg.as_dict(), "columns": columns, "rates": rates}
 
 
 def run_condition(cfg: ExperimentConfig) -> dict:
     rep = pipeline.condition_summary(cfg.dim, cfg.degree, cfg.elements[0])
-    row = {
-        "lambda_min": rep.lambda_min,
-        "lambda_max": rep.lambda_max,
-        "lambda_max_treated": rep.lambda_max_treated,
-        "gamma": rep.gamma,
-        "gamma_treated": rep.gamma_treated,
-        "rho": rep.rho,
-        "reduction_percent": rep.reduction_percent,
-    }
-    return {"config": cfg.as_dict(), "rows": [row]}
+    names = ("lambda_min", "lambda_max", "lambda_max_treated", "gamma",
+             "gamma_treated", "rho", "reduction_percent")
+    return {"config": cfg.as_dict(),
+            "columns": {name: [getattr(rep, name)] for name in names}}
 
 
 def render(result: dict, fmt: str) -> str:
+    """The text of a result: its ``columns`` as CSV lines or JSON rows."""
+    columns = result["columns"]
+    header = list(columns)
     if fmt == "json":
-        return json.dumps(result, indent=2, sort_keys=True) + "\n"
-    rows = result["rows"]
-    header = list(rows[0].keys())
-    lines = _csv_lines(header, rows)
+        doc = {k: v for k, v in result.items() if k != "columns"}
+        doc["rows"] = [dict(zip(header, row)) for row in zip(*columns.values())]
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # one %-format per line, chosen once from the column types
+    line = ",".join("%d" if isinstance(col[0], int) else "%.17g"
+                    for col in columns.values())
+    lines = [",".join(header)] + [line % row for row in zip(*columns.values())]
     rates = result.get("rates")
     if rates is not None:
         rate_row = {k: rates.get(k, "") for k in header}
-        rate_row[header[0]] = "rate"
-        rate_row["h"] = ""
-        lines.append(",".join(_fmt(rate_row[k]) for k in header))
-    return "\n".join(lines) + "\n"
+        rate_row.update({header[0]: "rate", "h": ""})
+        lines.append(",".join(v if isinstance(v, str) else "%.17g" % v
+                              for v in rate_row.values()))
+    lines.append("")  # a final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def _write_atomic(path: str, text: str) -> None:

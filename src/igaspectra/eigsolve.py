@@ -62,15 +62,21 @@ def _physical_memory() -> float:
         return math.inf
 
 
-#: Peak bytes per n^2 of the dense solve: five n x n doubles, the
-#: tracemalloc peak measured at n = 501..1205 (the symmetry check; the
-#: divide-and-conquer solve itself peaks at four).
-_DENSE_BYTES_PER_N2 = 40
+#: Peak bytes of the dense solve: per n^2, four n x n doubles (the pair
+#: and the divide-and-conquer workspace); per n * w, for a band of w
+#: stored diagonals, the band copies and the extended-precision rows of
+#: the polish.  The tracemalloc peak measured at n = 501..1205, p = 3, 5,
+#: 7, band, dense and sparse inputs, fits under the sum.
+_DENSE_BYTES_PER_N2 = 32
+_POLISH_BYTES_PER_NW = 80
 
 
-def _check_dense_fits(n: int) -> None:
-    """Raise ResourceError if a dense solve of n unknowns exceeds physical memory."""
-    need = _DENSE_BYTES_PER_N2 * n * n
+def _check_dense_fits(n: int, width: int = 0) -> None:
+    """Raise ResourceError if a dense solve of n unknowns exceeds physical memory.
+
+    ``width`` is the number of stored diagonals of the wider band.
+    """
+    need = _DENSE_BYTES_PER_N2 * n * n + _POLISH_BYTES_PER_NW * n * width
     if need > _physical_memory():
         raise ResourceError(
             f"dense solve would need {need / 2**30:.3g} GiB "
@@ -86,10 +92,32 @@ def _as_dense(a) -> np.ndarray:
 
 
 def _lower_band(a, dense: np.ndarray) -> np.ndarray:
-    """The lower band of ``a`` in SymBandMatrix storage, data[k, i] = a[i + k, i]."""
+    """The lower band of ``a`` in SymBandMatrix storage, data[k, i] = a[i + k, i].
+
+    A dense or sparse input keeps the diagonals up to its outermost
+    nonzero one.
+    """
     if isinstance(a, SymBandMatrix):
         return a.data
-    return np.array([np.pad(np.diagonal(dense, -k), (0, k)) for k in range(len(dense))])
+    w = len(dense) - 1
+    while w > 0 and not np.any(np.diagonal(dense, -w)):
+        w -= 1
+    return np.array([np.pad(np.diagonal(dense, -k), (0, k)) for k in range(w + 1)])
+
+
+def _check_symmetric(Kd: np.ndarray, Md: np.ndarray) -> None:
+    """Raise ValueError unless both matrices are symmetric to 1e-12 of their scale.
+
+    Compares 64 rows with the matching columns at a time, so no n x n
+    temporary is made; band inputs are symmetric by construction and
+    skip this.
+    """
+    scale = max(Kd.max(), -Kd.min()) + max(Md.max(), -Md.min())
+    for a in (Kd, Md):
+        for i in range(0, len(a), 64):
+            if not np.allclose(a[i : i + 64], a[:, i : i + 64].T,
+                               atol=1e-12 * scale):
+                raise ValueError("K and M must be symmetric")
 
 
 def _check_spd(m: np.ndarray, name: str) -> None:
@@ -163,12 +191,11 @@ def solve_generalized(K, M, want_vectors: bool = True) -> Spectrum:
     Md = _as_dense(M)
     if Kd.shape != Md.shape or Kd.ndim != 2 or Kd.shape[0] != Kd.shape[1]:
         raise ValueError(f"incompatible shapes {Kd.shape} and {Md.shape}")
-    scale = np.abs(Kd).max() + np.abs(Md).max()
-    if not (np.allclose(Kd, Kd.T, atol=1e-12 * scale)
-            and np.allclose(Md, Md.T, atol=1e-12 * scale)):
-        raise ValueError("K and M must be symmetric")
+    if not (isinstance(K, SymBandMatrix) and isinstance(M, SymBandMatrix)):
+        _check_symmetric(Kd, Md)
     _check_spd(Md, "M")
     k_band, m_band = _lower_band(K, Kd), _lower_band(M, Md)
+    _check_dense_fits(len(Kd), max(len(k_band), len(m_band)))
 
     try:
         # the transposes are Fortran-ordered views of the same lower

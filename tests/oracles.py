@@ -2,18 +2,28 @@
 
 Everything here deliberately avoids the code paths it is meant to
 check: spline values come from the textbook two-term recursion in exact
-rational arithmetic, and reference matrices are accumulated densely
-with numpy's own Gauss nodes.
+rational arithmetic, reference matrices are accumulated densely with
+numpy's own Gauss nodes, and multi-dimensional operators are built as
+sparse Kronecker products.  Some entries keep an earlier, slower form
+of a production routine that the current one must reproduce bit for
+bit.
 """
 
 import itertools
+import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sps
 
+from igaspectra.analysis import ExactSpectrum, FunctionErrors
 from igaspectra.bspline import boundary_derivatives, eval_basis
-from igaspectra.quadrature import BlendedRule
+from igaspectra.errors import ConfigurationError, ResourceError
+from igaspectra.quadrature import BlendedRule, gauss_legendre, map_to_element
+
+DEFAULT_SIZE_CAP = 20_000
 
 
 def open_uniform_knots(degree, n_elements):
@@ -187,3 +197,145 @@ def smallest_sums_of_squares(dim, count):
                                                   repeat=dim)
                   if (s := sum(j * j for j in combo)) <= lo)
     return sums[:count]
+
+
+@dataclass(frozen=True)
+class TensorSystem:
+    """Per-axis 1D (stiffness, mass) factors for a separable operator."""
+
+    factors: tuple
+
+    def __post_init__(self):
+        if not 2 <= len(self.factors) <= 3:
+            raise ConfigurationError(
+                f"tensor systems support d in {{2, 3}}, got d = {len(self.factors)}"
+            )
+
+    @property
+    def dim(self) -> int:
+        return len(self.factors)
+
+    @property
+    def sizes(self) -> tuple:
+        return tuple(K.n if hasattr(K, "n") else np.asarray(K).shape[0]
+                     for K, _ in self.factors)
+
+
+def _dense(a):
+    return a.to_dense() if hasattr(a, "to_dense") else np.asarray(a, dtype=float)
+
+
+def materialize(system: TensorSystem, size_cap: int = DEFAULT_SIZE_CAP):
+    """Build the global sparse (K, M) pair by Kronecker products.
+
+    Index flattening: the x index varies fastest, so a global index i
+    encodes (i_x, i_y, i_z) as i = i_x + n_x * (i_y + n_y * i_z) and the
+    last axis is the outermost Kronecker factor.  Refuses to build
+    systems larger than ``size_cap`` rows.
+    """
+    total = int(np.prod(system.sizes))
+    if total > size_cap:
+        raise ResourceError(
+            f"materialized system would have {total} rows (cap {size_cap}); "
+            "use spectral_sum instead"
+        )
+    mats = [(sps.csr_matrix(_dense(K)), sps.csr_matrix(_dense(M)))
+            for K, M in system.factors]
+
+    def kron_chain(parts):
+        # x fastest: reverse so axis 0 becomes the innermost factor
+        out = parts[-1]
+        for a in parts[-2::-1]:
+            out = sps.kron(out, a, format="csr")
+        return out
+
+    d = system.dim
+    M_glob = kron_chain([M for _, M in mats])
+    K_glob = None
+    for axis in range(d):
+        parts = [mats[a][1] if a != axis else mats[a][0] for a in range(d)]
+        term = kron_chain(parts)
+        K_glob = term if K_glob is None else K_glob + term
+    return K_glob.tocsr(), M_glob.tocsr()
+
+
+def eigenfunction_errors_loop(spectrum, space, modes=(1,)):
+    """1D eigenfunction errors, accumulated element by element.
+
+    The loop form of ``igaspectra.eigenfunction_errors``: per mode, one
+    matrix-vector product and two dot products per element, summed
+    into Python floats in element order.  The batched form must
+    reproduce these bytes exactly.
+    """
+    kv = space.knot_vector
+    p, n_el, h = space.degree, space.n_elements, space.h
+    n_dof = space.n_dof
+    exact = ExactSpectrum(1)
+    rule = gauss_legendre(p + 4)
+    e = np.arange(n_el)
+    elem = map_to_element(rule, e * h, (e + 1) * h)
+    vals = np.empty((n_el, rule.m, p + 1))
+    grads = np.empty((n_el, rule.m, p + 1))
+    for q in range(rule.m):
+        ders = kv.all_basis_ders(kv.span_of_element(e), elem.nodes[:, q], 1)
+        vals[:, q] = ders[:, 0]
+        grads[:, q] = ders[:, 1]
+
+    h1 = np.empty(len(modes))
+    l2 = np.empty(len(modes))
+    for k, mode in enumerate(modes):
+        U_full = np.zeros(n_dof + 2)
+        U_full[1:-1] = spectrum.eigenvectors[:, mode - 1]
+        u_ex, du_ex = exact.eigenfunction_1d(mode)
+
+        norm2 = 0.0
+        inner = 0.0
+        for i in range(n_el):
+            coeff = U_full[i : i + p + 1]
+            uh = vals[i] @ coeff
+            norm2 += np.dot(elem.weights[i], uh * uh)
+            inner += np.dot(elem.weights[i], uh * u_ex(elem.nodes[i]))
+        scale = (1.0 if inner >= 0 else -1.0) / math.sqrt(norm2)
+
+        e_h1 = 0.0
+        e_l2 = 0.0
+        for i in range(n_el):
+            coeff = scale * U_full[i : i + p + 1]
+            du = grads[i] @ coeff - du_ex(elem.nodes[i])
+            dv = vals[i] @ coeff - u_ex(elem.nodes[i])
+            e_h1 += np.dot(elem.weights[i], du * du)
+            e_l2 += np.dot(elem.weights[i], dv * dv)
+        h1[k] = math.sqrt(e_h1)
+        l2[k] = math.sqrt(e_l2)
+    return FunctionErrors(tuple(modes), h1, l2)
+
+
+def _fmt(v) -> str:
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
+def render_rows_reference(rows, fmt, rates=None, config=None):
+    """CLI text from row dicts, formatted one field at a time.
+
+    ``rows`` is a list of dicts sharing their keys in column order;
+    ``rates`` (convergence only) maps a column to its fitted rate or
+    "saturated" and adds the CSV rate row; JSON is the whole document,
+    keys sorted.
+    """
+    if fmt == "json":
+        doc = {"config": config, "rows": rows}
+        if rates is not None:
+            doc["rates"] = rates
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    header = list(rows[0].keys())
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(row[k]) for k in header))
+    if rates is not None:
+        rate_row = {k: rates.get(k, "") for k in header}
+        rate_row[header[0]] = "rate"
+        rate_row["h"] = ""
+        lines.append(",".join(_fmt(rate_row[k]) for k in header))
+    return "\n".join(lines) + "\n"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import smallest_sums_of_squares
+from oracles import eigenfunction_errors_loop, smallest_sums_of_squares
 
 from igaspectra import (BSplineSpace, ConfigurationError, ExactSpectrum,
                         Spectrum, condition_report, convergence_rates,
@@ -131,6 +131,25 @@ def test_eigenfunction_errors_match_independent_recomputation():
         # the 1e-15 absolute level, visible relative to the tiny l2 value
         assert got.l2[k] == pytest.approx(l2, rel=1e-7)
         assert got.h1[k] == pytest.approx(h1, rel=1e-7)
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_eigenfunction_errors_match_element_loop_bitwise(degree):
+    """The batched element sums reproduce the element-by-element loop."""
+    rng = np.random.default_rng(degree)
+    for n in (1, 4, 13, 60):
+        space = BSplineSpace.create(degree, n)
+        if space.n_dof < 1:
+            continue
+        spec = solve_1d(degree, n)
+        noise = Spectrum(spec.eigenvalues,
+                         rng.standard_normal(spec.eigenvectors.shape))
+        modes = tuple(m for m in (1, 2, 5, space.n_dof) if m <= space.n_dof)
+        for s in (spec, noise):
+            got = eigenfunction_errors(s, space, modes)
+            want = eigenfunction_errors_loop(s, space, modes)
+            assert np.array_equal(got.h1, want.h1)
+            assert np.array_equal(got.l2, want.l2)
 
 
 def test_eigenfunction_error_spot_values():

@@ -1,6 +1,7 @@
 """Assembly of the 1D pair: quadrature handling, penalty terms, band storage."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from igaspectra import (BSplineSpace, ConfigurationError, PenaltyConfig,
-                        SymBandMatrix, assemble_1d, assemble_1d_reference_gauss,
-                        gauss_legendre, gauss_lobatto, optimal_blending)
+                        ResourceError, SymBandMatrix, assemble_1d,
+                        assemble_1d_reference_gauss, build_1d, gauss_legendre,
+                        gauss_lobatto, optimal_blending)
 from igaspectra.assembly import penalty_order
 from igaspectra.bspline import boundary_derivatives
+from igaspectra.pipeline import _assembly_bytes
 from igaspectra.quadrature import BlendedRule
 
 from oracles import band_pair_per_entry, dense_pair_overintegrated
@@ -219,3 +222,27 @@ def test_assembly_reproduces_per_entry_oracle_bitwise(degree, n_elements,
     K_ref, M_ref = band_pair_per_entry(space, rule, pen)
     assert np.array_equal(K.data, K_ref)
     assert np.array_equal(M.data, M_ref)
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_build_peak_stays_within_its_estimate(degree):
+    for quadrature in ("gauss", "blended"):
+        tracemalloc.start()
+        try:
+            build_1d(degree, 3000, quadrature)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _assembly_bytes(degree, 3000)
+
+
+def test_oversized_build_refuses_before_allocating():
+    # 10^10 elements: the knot vector alone would take 80 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="for 10000000000 elements"):
+            build_1d(3, 10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

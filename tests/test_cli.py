@@ -13,8 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from igaspectra import ConfigurationError, NumericError
-from igaspectra.cli import ExperimentConfig, main
+from igaspectra import ConfigurationError, NumericError, pipeline
+from igaspectra.analysis import ExactSpectrum, eigenvalue_errors
+from igaspectra.cli import ExperimentConfig, build_parser, main
+
+from oracles import render_rows_reference
 
 
 def run(capsys, *argv):
@@ -124,6 +127,71 @@ def test_identical_runs_produce_identical_bytes(tmp_path):
                      "--elements", "10", "--out", str(out)]) == 0
         paths.append(out)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _reference_text(argv):
+    """CLI text from row dicts built one mode at a time, rendered field by field."""
+    args = build_parser().parse_args(argv)
+    cfg = ExperimentConfig(args.command, args.dim, args.degree, args.elements,
+                           args.quadrature, args.penalty, args.modes, args.fmt)
+    pen, rates = cfg.penalty == "on", None
+    if cfg.command == "spectrum":
+        spec = pipeline.solve_nd(cfg.dim, cfg.degree, cfg.elements[0],
+                                 cfg.quadrature, pen)
+        rep = eigenvalue_errors(spec, ExactSpectrum(cfg.dim))
+        rows = [{"rank": int(rep.ranks[i]),
+                 "rank_fraction": float(rep.rank_fraction[i]),
+                 "lambda_exact": float(rep.exact[i]),
+                 "lambda_approx": float(rep.approx[i]),
+                 "relative_error": float(rep.relative_errors[i])}
+                for i in range(len(rep.ranks))]
+    elif cfg.command == "convergence":
+        rows, fitted = pipeline.convergence_table(
+            cfg.dim, cfg.degree, cfg.elements, cfg.modes, cfg.quadrature, pen)
+        rates = {k: ("saturated" if v is None else v) for k, v in fitted.items()}
+    else:
+        rep = pipeline.condition_summary(cfg.dim, cfg.degree, cfg.elements[0])
+        rows = [{"lambda_min": rep.lambda_min,
+                 "lambda_max": rep.lambda_max,
+                 "lambda_max_treated": rep.lambda_max_treated,
+                 "gamma": rep.gamma,
+                 "gamma_treated": rep.gamma_treated,
+                 "rho": rep.rho,
+                 "reduction_percent": rep.reduction_percent}]
+    return render_rows_reference(rows, cfg.fmt, rates, cfg.as_dict())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--dim", "1", "--degree", "3", "--elements", "12"],
+    ["spectrum", "--dim", "1", "--degree", "7", "--elements", "1"],
+    ["spectrum", "--dim", "2", "--degree", "4", "--elements", "6",
+     "--quadrature", "gauss", "--penalty", "off"],
+    ["spectrum", "--dim", "2", "--degree", "7", "--elements", "1"],
+    ["spectrum", "--dim", "3", "--degree", "3", "--elements", "5"],
+    ["spectrum", "--dim", "3", "--degree", "7", "--elements", "1"],
+    ["convergence", "--dim", "1", "--degree", "5", "--elements", "5,10,20"],
+    ["convergence", "--dim", "1", "--degree", "3", "--elements", "5,10,20,40",
+     "--modes", "1,2"],
+    ["convergence", "--dim", "2", "--degree", "3", "--elements", "3,6,12",
+     "--modes", "1,2,5"],
+    ["convergence", "--dim", "3", "--degree", "4", "--elements", "4,8,16",
+     "--modes", "1"],
+    ["condition", "--dim", "1", "--degree", "3", "--elements", "50"],
+    ["condition", "--dim", "2", "--degree", "5", "--elements", "20"],
+    ["condition", "--dim", "3", "--degree", "7", "--elements", "10"],
+])
+def test_output_bytes_match_row_dict_reference(capsys, argv, fmt):
+    argv = argv + ["--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == _reference_text(argv)
+
+
+def test_byte_reference_covers_a_saturated_rate(capsys):
+    argv = ["convergence", "--dim", "1", "--degree", "5", "--elements", "5,10,20"]
+    assert run(capsys, *argv)[1].split("\n")[-2].count(",saturated") == 1
+    assert '"saturated"' in _reference_text(argv + ["--format", "json"])
 
 
 def test_output_file_is_replaced_atomically(tmp_path):

@@ -9,7 +9,9 @@ import scipy.sparse as sps
 
 from igaspectra import (DefinitenessError, ResourceError, Spectrum, SymBandMatrix,
                         build_1d, solve_1d, solve_generalized)
-from igaspectra.eigsolve import _lower_band, _rayleigh_quotients
+from igaspectra import eigsolve
+from igaspectra.eigsolve import (_DENSE_BYTES_PER_N2, _POLISH_BYTES_PER_NW,
+                                 _lower_band, _rayleigh_quotients)
 
 from oracles import rq_polish_dense
 
@@ -126,6 +128,51 @@ def test_rejects_asymmetric_input():
         solve_generalized(K_bad, M)
     with pytest.raises(ValueError):
         solve_generalized(K, np.eye(4))
+
+
+@pytest.mark.parametrize("which", ["K", "M"])
+@pytest.mark.parametrize("i,j", [(0, 1), (100, 3), (3, 149), (149, 148)])
+def test_asymmetry_is_found_in_every_row_block(which, i, j):
+    _, K, M = build_1d(3, 150)  # 151 unknowns: three row blocks of 64
+    pair = {"K": K.to_dense(), "M": M.to_dense()}
+    pair[which][i, j] += 1e-3 * np.abs(pair[which]).max()
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_generalized(pair["K"], pair["M"])
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_generalized(sps.csr_matrix(pair["K"]), sps.csr_matrix(pair["M"]))
+
+
+def test_band_inputs_skip_the_symmetry_check(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("symmetry checked")
+
+    monkeypatch.setattr(eigsolve, "_check_symmetric", refuse)
+    _, K, M = build_1d(3, 10)
+    assert solve_generalized(K, M).n == K.n
+    with pytest.raises(AssertionError, match="symmetry checked"):
+        solve_generalized(K.to_dense(), M.to_dense())
+
+
+@pytest.mark.parametrize("storage", ["band", "dense", "sparse", "full"])
+def test_dense_solve_peak_stays_within_its_estimate(storage):
+    _, K, M = build_1d(5, 400)
+    n, width = K.n, K.bandwidth + 1
+    if storage == "dense":
+        K, M = K.to_dense(), M.to_dense()
+    elif storage == "sparse":
+        K, M = sps.csr_matrix(K.to_dense()), sps.csr_matrix(M.to_dense())
+    elif storage == "full":  # every diagonal nonzero: the polish reads all n
+        A = np.random.default_rng(5).standard_normal((n, n))
+        K, M, width = A @ A.T, M.to_dense(), n
+    tracemalloc.start()
+    try:
+        solve_generalized(K, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _DENSE_BYTES_PER_N2 * n * n + _POLISH_BYTES_PER_NW * n * width
+    if storage != "full":
+        assert peak <= 33 * n * n  # the banded polish adds next to nothing
 
 
 def test_spectrum_requires_ascending_eigenvalues():

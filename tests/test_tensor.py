@@ -1,6 +1,9 @@
 """Tensor products: Kronecker structure, eigenvalue sums, size caps."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,9 +12,12 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import igaspectra
 from igaspectra import (ConfigurationError, ResourceError, Spectrum,
-                        TensorSystem, build_1d, condition_report,
-                        condition_summary, materialize, solve_1d, spectral_sum)
+                        build_1d, condition_report, condition_summary,
+                        solve_1d, spectral_sum)
+
+from oracles import TensorSystem, materialize
 
 
 def _sym(rng, n):
@@ -162,3 +168,13 @@ def test_sizes_reports_per_axis_dof():
     system = TensorSystem(((K1, M1), (np.eye(7), np.eye(7))))
     assert system.sizes == (5, 7)
     assert system.dim == 2
+
+
+def test_import_does_not_load_scipy_sparse():
+    # the Kronecker oracle is the only sparse user, and it lives in the tests
+    src = os.path.dirname(os.path.dirname(igaspectra.__file__))
+    code = "import sys, igaspectra; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
