@@ -5,8 +5,11 @@ B-spline basis, this module builds the symmetric banded pair (K, M):
 
     K[i, j] = Q( phi_i' phi_j' ) + penalty,   M[i, j] = Q( phi_i phi_j ) + penalty,
 
-where Q is the requested (possibly blended) quadrature rule applied
-element by element.  The penalty adds, for each level l = 1 .. alpha
+where Q is the requested quadrature rule applied element by element.
+The blend of the (p+1)-point Gauss and Lobatto rules is one Gauss pass
+plus, per element, M += (1-eta) E_p (h/2)^(2p+1) / (p!)^2 (D^p N_a)(D^p N_b):
+Gauss is exact on the mass, Lobatto errs by E_p on its t^(2p) term only.
+The penalty adds, for each level l = 1 .. alpha
 with alpha = floor((p - 1) / 2), the endpoint terms
 
     K += eta_a[l] * pi^2 * h^(6l-3) * [ w^(2l)(0) v^(2l)(0) + w^(2l)(1) v^(2l)(1) ]
@@ -18,12 +21,13 @@ outlier modes out of the discrete spectrum.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .bspline import BSplineSpace, boundary_derivatives
 from .errors import ConfigurationError
-from .quadrature import BlendedRule, QuadratureRule, map_to_element
+from .quadrature import BlendedRule, map_to_element
 
 __all__ = [
     "PenaltyConfig",
@@ -99,10 +103,10 @@ class SymBandMatrix:
         return a
 
 
-def _rule_parts(rule) -> list[tuple[QuadratureRule, float]]:
-    if isinstance(rule, BlendedRule):
-        return rule.parts()
-    return [(rule, 1.0)]
+def _lobatto_defect(p: int) -> Fraction:
+    """E_p = Q(t^(2p)) - 2/(2p+1) of the (p+1)-point Lobatto rule (A&S 25.4.32)."""
+    return Fraction((p + 1) * p**3 * 2 ** (2 * p + 1) * math.factorial(p - 1) ** 4,
+                    (2 * p + 1) * math.factorial(2 * p) ** 2)
 
 
 def assemble_1d(space: BSplineSpace, rule, penalty: PenaltyConfig | None = None
@@ -114,9 +118,8 @@ def assemble_1d(space: BSplineSpace, rule, penalty: PenaltyConfig | None = None
     space : BSplineSpace
         Interior spline space of degree p on n uniform elements.
     rule : QuadratureRule or BlendedRule
-        Applied on every element; each constituent rule must have at
-        least p + 1 points so the stiffness integrand is never
-        under-integrated beyond the intended mass-matrix blending.
+        A plain rule needs at least p + 1 points; a blended rule must pair
+        the (p+1)-point Gauss and Lobatto rules.
     penalty : PenaltyConfig, optional
         Boundary penalty; omitted or ``enabled=False`` leaves the
         corner blocks untouched.
@@ -130,13 +133,14 @@ def assemble_1d(space: BSplineSpace, rule, penalty: PenaltyConfig | None = None
     p, n, h = space.degree, space.n_elements, space.h
     n_dof = space.n_dof
 
-    parts = _rule_parts(rule)
-    for r, _ in parts:
-        if r.m < p + 1:
-            raise ConfigurationError(
-                f"{r.family} rule with {r.m} points is insufficient for degree {p}; "
-                f"need at least {p + 1} points per constituent rule"
-            )
+    blended = isinstance(rule, BlendedRule)
+    qrule = rule.rule1 if blended else rule
+    if blended and [(r.family, r.m) for r in (rule.rule1, rule.rule2)] != [
+            ("gauss", p + 1), ("lobatto", p + 1)]:
+        raise ConfigurationError(f"blend must pair the {p + 1}-point Gauss and Lobatto rules")
+    if qrule.m < p + 1:
+        raise ConfigurationError(f"{qrule.family} rule with {qrule.m} points is "
+                                 f"insufficient for degree {p}; need at least {p + 1}")
     if penalty is None:
         penalty = PenaltyConfig.off()
     if penalty.enabled and penalty.alpha != penalty_order(p):
@@ -151,16 +155,21 @@ def assemble_1d(space: BSplineSpace, rule, penalty: PenaltyConfig | None = None
     # every element at once, one quadrature node at a time
     e = np.arange(n)
     spans = kv.span_of_element(e)
+    if blended:  # D^p N is constant per element; the copy frees the full table
+        dp = kv.all_basis_ders(spans, (e + 0.5) * h, p)[:, p].copy()
     k_loc = np.zeros((n, p + 1, p + 1))
     m_loc = np.zeros((n, p + 1, p + 1))
-    for qrule, coeff in parts:
-        elem = map_to_element(qrule, e * h, (e + 1) * h)
-        w = coeff * elem.weights
-        for q in range(qrule.m):
-            ders = kv.all_basis_ders(spans, elem.nodes[:, q], 1)
-            vals, grads = ders[:, 0], ders[:, 1]
-            m_loc += w[:, q, None, None] * (vals[:, :, None] * vals[:, None, :])
-            k_loc += w[:, q, None, None] * (grads[:, :, None] * grads[:, None, :])
+    elem = map_to_element(qrule, e * h, (e + 1) * h)
+    for q in range(qrule.m):
+        ders = kv.all_basis_ders(spans, elem.nodes[:, q], 1)
+        vals, grads = ders[:, 0], ders[:, 1]
+        w = elem.weights[:, q, None, None]
+        m_loc += w * (vals[:, :, None] * vals[:, None, :])
+        k_loc += w * (grads[:, :, None] * grads[:, None, :])
+    if blended:
+        # K needs no term: both rules are exact to degree 2p-1 > 2p-2
+        coeff = (1 - Fraction(rule.eta)) * _lobatto_defect(p) / math.factorial(p) ** 2
+        m_loc += float(coeff) * (0.5 * h) ** (2 * p + 1) * (dp[:, :, None] * dp[:, None, :])
     # local (la, lb) of element e is entry (e+la-1, e+lb-1); descending la
     # adds each band entry's contributions in element order
     for la in range(p, -1, -1):

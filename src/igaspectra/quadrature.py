@@ -7,8 +7,9 @@ Gauss-Lobatto rule up to degree 2m-3.  A blended rule
     Q = eta * Q_gauss + (1 - eta) * Q_lobatto
 
 with the degree-dependent weight from ``optimal_blending`` minimises the
-dispersion error of the spectral approximation; eta is negative for
-degrees >= 3, so blended "weights" need not be positive.
+dispersion error of the spectral approximation.  eta reaches -105013/2,
+so the two sums are never formed: ``assembly`` applies Gauss alone plus
+the closed-form Lobatto error on t^(2p).
 
 Nodes are computed by Newton iteration on the Legendre polynomial (or
 its derivative) from trigonometric initial guesses; only one half is
@@ -61,11 +62,6 @@ class QuadratureRule:
     def m(self) -> int:
         return len(self.nodes)
 
-    def integrate(self, f, a: float = -1.0, b: float = 1.0) -> float:
-        """Apply the rule to f on [a, b] via the affine map."""
-        elem = map_to_element(self, a, b)
-        return float(np.dot(elem.weights, f(elem.nodes)))
-
 
 @dataclass(frozen=True)
 class ElementRule:
@@ -82,12 +78,6 @@ class BlendedRule:
     rule1: QuadratureRule
     rule2: QuadratureRule
     eta: float
-
-    def parts(self) -> list[tuple[QuadratureRule, float]]:
-        return [(self.rule1, self.eta), (self.rule2, 1.0 - self.eta)]
-
-    def integrate(self, f, a: float = -1.0, b: float = 1.0) -> float:
-        return sum(c * r.integrate(f, a, b) for r, c in self.parts())
 
 
 def _legendre_pair(n: int, x: float) -> tuple[float, float]:

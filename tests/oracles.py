@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths it is meant to
 check: spline values come from the textbook two-term recursion in exact
 rational arithmetic, reference matrices are accumulated densely with
-numpy's own Gauss nodes, and multi-dimensional operators are built as
-sparse Kronecker products.  Some entries keep an earlier, slower form
+numpy's own Gauss nodes, the blended pencil is summed as defined at 40
+digits in mpmath, and multi-dimensional operators are built as sparse
+Kronecker products.  Some entries keep an earlier, slower form
 of a production routine that the current one must reproduce bit for
 bit.
 """
@@ -15,13 +16,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import scipy.sparse as sps
 
 from igaspectra.analysis import ExactSpectrum, FunctionErrors
 from igaspectra.bspline import boundary_derivatives, eval_basis
 from igaspectra.errors import ConfigurationError, ResourceError
-from igaspectra.quadrature import BlendedRule, gauss_legendre, map_to_element
+from igaspectra.quadrature import (_OPTIMAL_ETA, gauss_legendre, gauss_lobatto,
+                                   map_to_element)
 
 DEFAULT_SIZE_CAP = 20_000
 
@@ -109,15 +112,14 @@ def dense_pair_overintegrated(space, points=20):
 def band_pair_per_entry(space, rule, penalty):
     """Band data of (K, M) by the scalar element-by-element assembly.
 
-    The original loop structure: one basis call per quadrature point,
-    one element matrix at a time, one band entry at a time, then the
-    endpoint penalty entry by entry.  The vectorized assembly keeps the
-    same floating-point operations in the same order, so it must
-    reproduce these bytes exactly.
+    The original loop structure for a plain rule: one basis call per
+    quadrature point, one element matrix at a time, one band entry at a
+    time, then the endpoint penalty entry by entry.  The vectorized
+    assembly keeps the same floating-point operations in the same order,
+    so it must reproduce these bytes exactly.
     """
     kv = space.knot_vector
     p, n, h, n_dof = space.degree, space.n_elements, space.h, space.n_dof
-    parts = rule.parts() if isinstance(rule, BlendedRule) else [(rule, 1.0)]
     K = np.zeros((p + 1, n_dof))
     M = np.zeros((p + 1, n_dof))
     for e in range(n):
@@ -125,11 +127,10 @@ def band_pair_per_entry(space, rule, penalty):
         mid, scale = 0.5 * (a + b), 0.5 * (b - a)
         k_loc = np.zeros((p + 1, p + 1))
         m_loc = np.zeros((p + 1, p + 1))
-        for qrule, coeff in parts:
-            for x, w in zip(mid + scale * qrule.nodes, coeff * (scale * qrule.weights)):
-                ders = kv.all_basis_ders(p + e, x, 1)
-                m_loc += w * np.outer(ders[0], ders[0])
-                k_loc += w * np.outer(ders[1], ders[1])
+        for x, w in zip(mid + scale * rule.nodes, scale * rule.weights):
+            ders = kv.all_basis_ders(p + e, x, 1)
+            m_loc += w * np.outer(ders[0], ders[0])
+            k_loc += w * np.outer(ders[1], ders[1])
         for la in range(p + 1):
             for lb in range(la + 1):
                 gi, gj = e + la - 1, e + lb - 1
@@ -148,6 +149,76 @@ def band_pair_per_entry(space, rule, penalty):
                         K[i - j, j] += ca * vec[i] * vec[j]
                         M[i - j, j] += cb * vec[i] * vec[j]
     return K, M
+
+
+def _mp_rule(seeds, f, weight):
+    """Nodes as roots of f refined from float seeds, with their weights."""
+    nodes = [mpmath.findroot(f, (mpmath.mpf(x), mpmath.mpf(x) + 1e-9)) for x in seeds]
+    return [(x, weight(x)) for x in nodes]
+
+
+def _cox_de_boor_mp(t, mu, p, x):
+    """Values and first derivatives of N_{mu-p..mu, p} at x in span mu.
+
+    The textbook triangle, degree by degree, in mpf, with 0/0 terms
+    dropped; the derivative comes from the degree p - 1 row.
+    """
+    def frac(num, den):
+        return num / den if den else 0
+
+    row = {mu: mpmath.mpf(1)}
+    for k in range(1, p + 1):
+        prev = row
+        row = {i: frac(x - t[i], t[i + k] - t[i]) * prev.get(i, 0)
+               + frac(t[i + k + 1] - x, t[i + k + 1] - t[i + 1]) * prev.get(i + 1, 0)
+               for i in range(mu - k, mu + 1)}
+    funcs = range(mu - p, mu + 1)
+    ders = [frac(p, t[i + p] - t[i]) * prev.get(i, 0)
+            - frac(p, t[i + p + 1] - t[i + 1]) * prev.get(i + 1, 0) for i in funcs]
+    return [row[i] for i in funcs], ders
+
+
+def blended_pair_mpmath(degree, n_elements, dps=40):
+    """Dense (K, M) of the optimally blended pencil, without penalty.
+
+    The blend eta * Q_gauss + (1 - eta) * Q_lobatto of the (p+1)-point
+    rules applied literally, element by element, at ``dps`` digits: both
+    rules are rebuilt in mpmath (nodes refined by ``findroot`` from the
+    package's float rules), the basis comes from Cox-de Boor in mpf and
+    eta is the exact tabulated fraction.  The blend cancels about five
+    of the ``dps`` digits; the float64 rounding of the result is returned.
+    """
+    p, n, m = degree, n_elements, degree + 1
+    n_dof = n + p - 2
+    with mpmath.workdps(dps):
+        leg = mpmath.legendre
+        gauss = _mp_rule(gauss_legendre(m).nodes, lambda x: leg(m, x),
+                         lambda x: 2 * (1 - x * x) / (m * leg(m - 1, x)) ** 2)
+        w_end = mpmath.mpf(2) / (m * (m - 1))
+        lobatto = ([(mpmath.mpf(-1), w_end)]
+                   + _mp_rule(gauss_lobatto(m).nodes[1:-1],
+                              lambda x: leg(m - 2, x) - x * leg(m - 1, x),
+                              lambda x: w_end / leg(m - 1, x) ** 2)
+                   + [(mpmath.mpf(1), w_end)])
+        eta = mpmath.mpf(_OPTIMAL_ETA[p].numerator) / _OPTIMAL_ETA[p].denominator
+        t = ([mpmath.mpf(0)] * p + [mpmath.mpf(i) / n for i in range(n + 1)]
+             + [mpmath.mpf(1)] * p)
+        K = [[mpmath.mpf(0)] * n_dof for _ in range(n_dof)]
+        M = [[mpmath.mpf(0)] * n_dof for _ in range(n_dof)]
+        for e in range(n):
+            mid, half = (t[p + e] + t[p + e + 1]) / 2, (t[p + e + 1] - t[p + e]) / 2
+            for coeff, rule in ((eta, gauss), (1 - eta, lobatto)):
+                for xi, wi in rule:
+                    vals, ders = _cox_de_boor_mp(t, p + e, p, mid + half * xi)
+                    w = coeff * half * wi
+                    for la in range(p + 1):
+                        for lb in range(p + 1):
+                            gi, gj = e + la - 1, e + lb - 1
+                            if 0 <= gi < n_dof and 0 <= gj < n_dof:
+                                M[gi][gj] += w * vals[la] * vals[lb]
+                                K[gi][gj] += w * ders[la] * ders[lb]
+        return (np.array([[float(v) for v in r] for r in K]),
+                np.array([[float(v) for v in r] for r in M]))
 
 
 def rq_polish_dense(Kd, Md, lam, vec):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 from igaspectra import (BSplineSpace, ConfigurationError, PenaltyConfig,
                         ResourceError, SymBandMatrix, assemble_1d,
                         assemble_1d_reference_gauss, build_1d, gauss_legendre,
-                        gauss_lobatto, optimal_blending)
-from igaspectra.assembly import penalty_order
+                        gauss_lobatto, optimal_blending, solve_1d)
+from igaspectra.assembly import _lobatto_defect, penalty_order
 from igaspectra.bspline import boundary_derivatives
 from igaspectra.pipeline import _assembly_bytes
 from igaspectra.quadrature import BlendedRule
 
-from oracles import band_pair_per_entry, dense_pair_overintegrated
+from oracles import (band_pair_per_entry, blended_pair_mpmath,
+                     dense_pair_overintegrated)
 
 
 def test_penalty_order_floor_table():
@@ -63,6 +65,38 @@ def test_blended_assembly_is_affine_combination_of_parts(degree):
         want = eta * gauss.to_dense() + (1.0 - eta) * lobatto.to_dense()
         np.testing.assert_allclose(blended.to_dense(), want, rtol=0.0,
                                    atol=1e-13 * np.abs(want).max())
+
+
+# E_p = Q_lobatto(t^(2p)) - 2/(2p+1) for the (p+1)-point Lobatto rule
+LOBATTO_DEFECT = {1: Fraction(4, 3), 2: Fraction(4, 15), 3: Fraction(32, 525),
+                  4: Fraction(32, 2205), 5: Fraction(256, 72765),
+                  6: Fraction(256, 297297), 7: Fraction(4096, 19324305)}
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_lobatto_defect_is_the_rational_closed_form(degree):
+    assert _lobatto_defect(degree) == LOBATTO_DEFECT[degree]
+    rule = gauss_lobatto(degree + 1)
+    defect = np.dot(rule.weights, rule.nodes ** (2 * degree)) - 2.0 / (2 * degree + 1)
+    assert defect == pytest.approx(float(LOBATTO_DEFECT[degree]), rel=1e-12)
+
+
+@pytest.mark.parametrize("degree,n_elements", [(3, 6), (5, 5), (7, 5), (7, 9)])
+def test_blended_pencil_matches_40_digit_assembly(degree, n_elements):
+    # summed as written, the blend cancels ~5 digits in float64 at p = 7;
+    # the assembled pencil must stay within a few ulp of the exact one
+    K, M = assemble_1d(BSplineSpace.create(degree, n_elements),
+                       optimal_blending(degree), PenaltyConfig.off())
+    K_ref, M_ref = blended_pair_mpmath(degree, n_elements)
+    for A, ref in ((K.to_dense(), K_ref), (M.to_dense(), M_ref)):
+        assert np.abs(A - ref).max() <= 2e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n_elements", (100, 200, 400, 800))
+def test_degree_7_blended_lambda1_keeps_its_digits(n_elements):
+    # the exact error is below 1e-20 here; what is left is float64 rounding
+    lam = solve_1d(7, n_elements, want_vectors=False).eigenvalues[0]
+    assert abs(lam - math.pi**2) / math.pi**2 <= 5e-12
 
 
 def test_blending_underintegrates_mass_but_not_stiffness():
@@ -163,9 +197,12 @@ def test_underresolved_rules_are_rejected():
     space = BSplineSpace.create(3, 4)
     with pytest.raises(ConfigurationError):
         assemble_1d(space, gauss_legendre(3), PenaltyConfig.off())
-    undersized = BlendedRule(gauss_legendre(4), gauss_lobatto(3), -1.5)
-    with pytest.raises(ConfigurationError):
-        assemble_1d(space, undersized, PenaltyConfig.off())
+    for rule1, rule2 in ((gauss_legendre(4), gauss_lobatto(3)),
+                         (gauss_legendre(5), gauss_lobatto(5)),
+                         (gauss_lobatto(4), gauss_legendre(4)),
+                         (gauss_legendre(4), gauss_legendre(4))):
+        with pytest.raises(ConfigurationError):
+            assemble_1d(space, BlendedRule(rule1, rule2, -1.5), PenaltyConfig.off())
 
 
 def test_penalty_level_count_is_validated():
@@ -205,23 +242,38 @@ def test_basis_is_tabulated_once_per_node_not_per_point(monkeypatch):
         calls.clear()
         assemble_1d(BSplineSpace.create(7, n), optimal_blending(7),
                     PenaltyConfig.for_degree(7))
-        # 8 Gauss + 8 Lobatto nodes, and both endpoints at 3 penalty levels
-        assert len(calls) == 16 + 6
+        # 8 Gauss nodes, one p-th derivative table for the blend term,
+        # and both endpoints at 3 penalty levels
+        assert len(calls) == 8 + 1 + 6
 
 
 @settings(max_examples=40, deadline=None)
 @given(degree=st.integers(1, 7), n_elements=st.integers(1, 40),
-       blended=st.booleans(), penalty=st.booleans())
-def test_assembly_reproduces_per_entry_oracle_bitwise(degree, n_elements,
-                                                      blended, penalty):
+       penalty=st.booleans())
+def test_assembly_reproduces_per_entry_oracle_bitwise(degree, n_elements, penalty):
+    # plain rules only: blended pencils are checked against the 40-digit
+    # assembly in test_blended_pencil_matches_40_digit_assembly
     assume(n_elements + degree > 2)
     space = BSplineSpace.create(degree, n_elements)
-    rule = optimal_blending(degree) if blended else gauss_legendre(degree + 1)
+    rule = gauss_legendre(degree + 1)
     pen = PenaltyConfig.for_degree(degree, enabled=penalty)
     K, M = assemble_1d(space, rule, pen)
     K_ref, M_ref = band_pair_per_entry(space, rule, pen)
     assert np.array_equal(K.data, K_ref)
     assert np.array_equal(M.data, M_ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(1, 7), n_elements=st.integers(1, 101),
+       blended=st.booleans(), penalty=st.booleans())
+def test_assembled_pair_is_persymmetric(degree, n_elements, blended, penalty):
+    # the mesh, basis and penalty are symmetric under x -> 1 - x
+    assume(n_elements + degree > 2)
+    rule = optimal_blending(degree) if blended else gauss_legendre(degree + 1)
+    K, M = assemble_1d(BSplineSpace.create(degree, n_elements), rule,
+                       PenaltyConfig.for_degree(degree, enabled=penalty))
+    for A in (K.to_dense(), M.to_dense()):
+        assert np.abs(A - A[::-1, ::-1]).max() <= 1e-12 * np.abs(A).max()
 
 
 @pytest.mark.parametrize("degree", range(1, 8))

@@ -9,6 +9,7 @@ from scipy.special import roots_jacobi
 from igaspectra import (ConfigurationError, blending_weight,
                         gauss_legendre, gauss_lobatto, map_to_element,
                         optimal_blending)
+from igaspectra.assembly import _lobatto_defect
 
 SQ3 = math.sqrt(3.0)
 SQ30 = math.sqrt(30.0)
@@ -135,32 +136,24 @@ def test_optimal_blending_combines_both_p_plus_1_point_rules(degree):
     assert blend.rule1.m == degree + 1
     assert blend.rule2.m == degree + 1
     assert blend.eta == blending_weight(degree)
-    parts = blend.parts()
-    assert parts[0][1] == blend.eta
-    assert parts[1][1] == 1.0 - blend.eta
-
-
-def test_blended_integral_is_affine_combination():
-    blend = optimal_blending(3)
-    f = lambda x: np.cos(1.3 * x) + x**5 - 0.25 * x
-    a, b = 0.2, 0.9
-    want = (blend.eta * blend.rule1.integrate(f, a, b)
-            + (1.0 - blend.eta) * blend.rule2.integrate(f, a, b))
-    got = blend.integrate(f, a, b)
-    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_blended_rule_keeps_lobatto_exactness_only():
     # both parts integrate degree <= 2m-3 exactly, so the blend does too;
-    # at 2m-2 the Lobatto part (weight 1 - eta) leaves a visible defect
+    # at 2m-2 only the Lobatto part (weight 1 - eta) errs, by (1 - eta) E_p
+    def blended_moment(blend, k):
+        return (blend.eta * np.dot(blend.rule1.weights, blend.rule1.nodes**k)
+                + (1.0 - blend.eta) * np.dot(blend.rule2.weights, blend.rule2.nodes**k))
+
     for degree in (2, 4):
         blend = optimal_blending(degree)
         m = degree + 1
         for k in range(0, 2 * m - 2):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert blend.integrate(lambda x: x**k) == pytest.approx(exact, abs=1e-12)
-        defect = abs(blend.integrate(lambda x: x**(2 * m - 2)) - 2.0 / (2 * m - 1))
-        assert defect > 1e-10
+            assert blended_moment(blend, k) == pytest.approx(exact, abs=1e-12)
+        defect = blended_moment(blend, 2 * m - 2) - 2.0 / (2 * m - 1)
+        want = (1.0 - blend.eta) * float(_lobatto_defect(degree))
+        assert defect == pytest.approx(want, rel=1e-12)
 
 
 def test_map_to_element_affine():
