@@ -1,9 +1,10 @@
 """Generalized symmetric-definite eigensolver K u = lambda M u.
 
-Every caller takes one path.  The pencil is reduced with a Cholesky
-factorisation of M and solved, eigenvectors included, by LAPACK's
-divide-and-conquer driver (sygvd; Gu & Eisenstat, SIMAX 16, 1995).  Two
-accuracy details on top of that:
+The pencil is a pair of banded SymBandMatrix.  One LAPACK call solves
+it: the divide-and-conquer driver sygvd (Gu & Eisenstat, SIMAX 16,
+1995) factorises M by Cholesky, reporting the failing pivot if M is not
+positive definite, and returns every eigenvector.  Two accuracy details
+on top of that:
 
 * Eigenvalues out of the reduction carry absolute noise of order
   eps * lambda_max (amplified further when M is ill conditioned, as the
@@ -20,17 +21,14 @@ accuracy details on top of that:
   is positive, making results reproducible across runs.
 """
 
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .assembly import SymBandMatrix
-from .errors import DefinitenessError, NumericError, ResourceError
+from .errors import DefinitenessError, NumericError, check_memory
 
 __all__ = ["Spectrum", "solve_generalized"]
 
@@ -55,80 +53,22 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-def _physical_memory() -> float:
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return math.inf
-
-
 #: Peak bytes of the dense solve: per n^2, four n x n doubles (the pair
 #: and the divide-and-conquer workspace); per n * w, for a band of w
-#: stored diagonals, the band copies and the extended-precision rows of
-#: the polish.  The tracemalloc peak measured at n = 501..1205, p = 3, 5,
-#: 7, band, dense and sparse inputs, fits under the sum.
+#: stored diagonals, the extended-precision rows of the polish.  The
+#: tracemalloc peak measured at n = 501..1205, p = 3, 5, 7 fits under
+#: the sum.
 _DENSE_BYTES_PER_N2 = 32
 _POLISH_BYTES_PER_NW = 80
 
 
-def _check_dense_fits(n: int, width: int = 0) -> None:
+def _check_dense_fits(n: int, width: int) -> None:
     """Raise ResourceError if a dense solve of n unknowns exceeds physical memory.
 
     ``width`` is the number of stored diagonals of the wider band.
     """
-    need = _DENSE_BYTES_PER_N2 * n * n + _POLISH_BYTES_PER_NW * n * width
-    if need > _physical_memory():
-        raise ResourceError(
-            f"dense solve would need {need / 2**30:.3g} GiB "
-            f"for {n} unknowns, more than the physical memory")
-
-
-def _as_dense(a) -> np.ndarray:
-    if hasattr(a, "to_dense"):
-        return a.to_dense()
-    if hasattr(a, "toarray"):
-        return a.toarray()
-    return np.array(a, dtype=float, order="C")
-
-
-def _lower_band(a, dense: np.ndarray) -> np.ndarray:
-    """The lower band of ``a`` in SymBandMatrix storage, data[k, i] = a[i + k, i].
-
-    A dense or sparse input keeps the diagonals up to its outermost
-    nonzero one.
-    """
-    if isinstance(a, SymBandMatrix):
-        return a.data
-    w = len(dense) - 1
-    while w > 0 and not np.any(np.diagonal(dense, -w)):
-        w -= 1
-    return np.array([np.pad(np.diagonal(dense, -k), (0, k)) for k in range(w + 1)])
-
-
-def _check_symmetric(Kd: np.ndarray, Md: np.ndarray) -> None:
-    """Raise ValueError unless both matrices are symmetric to 1e-12 of their scale.
-
-    Compares 64 rows with the matching columns at a time, so no n x n
-    temporary is made; band inputs are symmetric by construction and
-    skip this.
-    """
-    scale = max(Kd.max(), -Kd.min()) + max(Md.max(), -Md.min())
-    for a in (Kd, Md):
-        for i in range(0, len(a), 64):
-            if not np.allclose(a[i : i + 64], a[:, i : i + 64].T,
-                               atol=1e-12 * scale):
-                raise ValueError("K and M must be symmetric")
-
-
-def _check_spd(m: np.ndarray, name: str) -> None:
-    potrf = get_lapack_funcs(("potrf",), (m,))[0]
-    _, info = potrf(m, lower=True)
-    if info > 0:
-        raise DefinitenessError(
-            f"{name} is not positive definite: Cholesky pivot {info} failed", pivot=info
-        )
-    if info < 0:
-        raise NumericError(f"Cholesky of {name} failed with LAPACK info {info}")
+    check_memory(_DENSE_BYTES_PER_N2 * n * n + _POLISH_BYTES_PER_NW * n * width,
+                 "dense solve", f"{n} unknowns")
 
 
 def _rayleigh_quotients(k_band, m_band, vec, block: int = 16) -> np.ndarray:
@@ -158,7 +98,8 @@ def _rayleigh_quotients(k_band, m_band, vec, block: int = 16) -> np.ndarray:
     return (forms[0] / forms[1]).astype(float)
 
 
-def solve_generalized(K, M, want_vectors: bool = True) -> Spectrum:
+def solve_generalized(K: SymBandMatrix, M: SymBandMatrix,
+                      want_vectors: bool = True) -> Spectrum:
     """Solve K u = lambda M u for a symmetric pair with M positive definite.
 
     Every eigenvalue is the extended-precision Rayleigh quotient of its
@@ -167,8 +108,8 @@ def solve_generalized(K, M, want_vectors: bool = True) -> Spectrum:
 
     Parameters
     ----------
-    K, M : array-like, SymBandMatrix or sparse
-        Symmetric matrices of equal shape; neither is modified.
+    K, M : SymBandMatrix
+        Banded symmetric matrices of equal size; neither is modified.
     want_vectors : bool
         Also return M-orthonormal eigenvectors.
 
@@ -180,33 +121,40 @@ def solve_generalized(K, M, want_vectors: bool = True) -> Spectrum:
 
     Raises
     ------
+    TypeError
+        If K or M is not a SymBandMatrix.
+    ValueError
+        If the sizes differ or a band holds a NaN or infinity.
     DefinitenessError
         If M is not positive definite (reports the failing pivot).
     ResourceError
         Before allocating, if the dense pair would not fit in physical
         memory.
     """
-    _check_dense_fits(K.n if hasattr(K, "n") else max(np.shape(K), default=0))
-    Kd = _as_dense(K)
-    Md = _as_dense(M)
-    if Kd.shape != Md.shape or Kd.ndim != 2 or Kd.shape[0] != Kd.shape[1]:
-        raise ValueError(f"incompatible shapes {Kd.shape} and {Md.shape}")
     if not (isinstance(K, SymBandMatrix) and isinstance(M, SymBandMatrix)):
-        _check_symmetric(Kd, Md)
-    _check_spd(Md, "M")
-    k_band, m_band = _lower_band(K, Kd), _lower_band(M, Md)
-    _check_dense_fits(len(Kd), max(len(k_band), len(m_band)))
+        raise TypeError("K and M must be SymBandMatrix, got "
+                        f"{type(K).__name__} and {type(M).__name__}")
+    if K.n != M.n:
+        raise ValueError(f"K and M differ in size: {K.n} and {M.n}")
+    n = K.n
+    _check_dense_fits(n, max(K.bandwidth, M.bandwidth) + 1)
+    if not (np.isfinite(K.data).all() and np.isfinite(M.data).all()):
+        raise ValueError("K and M must hold finite band entries")
 
-    try:
-        # the transposes are Fortran-ordered views of the same lower
-        # triangles, which LAPACK overwrites in place without copying
-        _, vec = sla.eigh(Kd.T, Md.T, lower=False, overwrite_a=True,
-                          overwrite_b=True, driver="gvd")
-    except sla.LinAlgError as exc:  # pragma: no cover - M checked above
-        raise NumericError(f"generalized eigensolve failed: {exc}") from exc
-    del Kd, Md
+    # the transposes are Fortran-ordered views of the same lower
+    # triangles, which LAPACK overwrites in place without copying
+    a, b = K.to_dense().T, M.to_dense().T
+    sygvd = get_lapack_funcs("sygvd", (a, b))
+    _, vec, info = sygvd(a, b, uplo="U", overwrite_a=1, overwrite_b=1)
+    del a, b
+    if info > n:
+        raise DefinitenessError(
+            f"M is not positive definite: Cholesky pivot {info - n} failed",
+            pivot=info - n)
+    if info:
+        raise NumericError(f"generalized eigensolve failed with LAPACK info {info}")
 
-    lam = _rayleigh_quotients(k_band, m_band, vec)
+    lam = _rayleigh_quotients(K.data, M.data, vec)
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
     if not want_vectors:

@@ -12,9 +12,8 @@ from .analysis import (ExactSpectrum, condition_report, convergence_rates,
                        eigenfunction_errors, eigenvalue_errors)
 from .assembly import PenaltyConfig, assemble_1d, assemble_1d_reference_gauss
 from .bspline import BSplineSpace
-from .eigsolve import (Spectrum, _check_dense_fits, _physical_memory,
-                       solve_generalized)
-from .errors import ConfigurationError, ResourceError
+from .eigsolve import Spectrum, _check_dense_fits, solve_generalized
+from .errors import ConfigurationError, check_memory
 from .quadrature import optimal_blending
 from .tensor import spectral_sum
 
@@ -41,11 +40,8 @@ def build_1d(degree: int, n_elements: int, quadrature: str = "blended",
     with ResourceError, before allocating, a mesh whose assembly would
     not fit in physical memory.
     """
-    need = _assembly_bytes(degree, n_elements)
-    if need > _physical_memory():
-        raise ResourceError(
-            f"assembly would need {need / 2**30:.3g} GiB for {n_elements} "
-            f"elements of degree {degree}, more than the physical memory")
+    check_memory(_assembly_bytes(degree, n_elements), "assembly",
+                 f"{n_elements} elements of degree {degree}")
     space = BSplineSpace.create(degree, n_elements)
     pen = PenaltyConfig.for_degree(degree) if penalty else PenaltyConfig.off()
     if quadrature == "gauss":

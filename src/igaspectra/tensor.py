@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .eigsolve import Spectrum, _physical_memory
-from .errors import ConfigurationError, ResourceError
+from .eigsolve import Spectrum
+from .errors import ConfigurationError, check_memory
 
 __all__ = ["spectral_sum"]
 
@@ -50,10 +50,7 @@ def spectral_sum(axis_spectra, k: int | None = None) -> Spectrum:
         raise ConfigurationError(
             f"spectral_sum supports d in {{2, 3}}, got d = {len(arrays)}")
     count = math.prod(len(a) for a in arrays)
-    if 16 * count > _physical_memory():
-        raise ResourceError(
-            f"spectral_sum would need {16 * count / 2**30:.3g} GiB for {count} "
-            "sums and their sorted copy, more than the physical memory")
+    check_memory(16 * count, "spectral_sum", f"{count} sums and their sorted copy")
     grid = arrays[0]
     for a in arrays[1:]:
         grid = np.add.outer(grid, a)

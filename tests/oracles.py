@@ -5,9 +5,9 @@ check: spline values come from the textbook two-term recursion in exact
 rational arithmetic, reference matrices are accumulated densely with
 numpy's own Gauss nodes, the blended pencil is summed as defined at 40
 digits in mpmath, and multi-dimensional operators are built as sparse
-Kronecker products.  Some entries keep an earlier, slower form
-of a production routine that the current one must reproduce bit for
-bit.
+Kronecker products and solved densely.  Some entries keep an earlier,
+slower form of a production routine that the current one must
+reproduce bit for bit.
 """
 
 import itertools
@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sps
 
 from igaspectra.analysis import ExactSpectrum, FunctionErrors
@@ -237,6 +238,17 @@ def rq_polish_dense(Kd, Md, lam, vec):
     polished = (num / den).astype(float)
     order = np.argsort(polished, kind="stable")
     return polished[order], vec[:, order]
+
+
+def dense_generalized_eigenvalues(Kd, Md):
+    """Ascending eigenvalues of a dense symmetric-definite pair.
+
+    LAPACK's divide-and-conquer driver on the full matrices, each value
+    then polished as the dense extended-precision Rayleigh quotient of
+    its eigenvector (``rq_polish_dense``).
+    """
+    lam, vec = sla.eigh(Kd, Md, driver="gvd")
+    return rq_polish_dense(Kd, Md, lam, vec)[0]
 
 
 def smallest_sums_of_squares(dim, count):

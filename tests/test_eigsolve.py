@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sps
+from scipy.linalg.lapack import dpotrf
 
 from igaspectra import (DefinitenessError, ResourceError, Spectrum, SymBandMatrix,
                         build_1d, solve_1d, solve_generalized)
-from igaspectra import eigsolve
 from igaspectra.eigsolve import (_DENSE_BYTES_PER_N2, _POLISH_BYTES_PER_NW,
-                                 _lower_band, _rayleigh_quotients)
+                                 _rayleigh_quotients)
 
 from oracles import rq_polish_dense
 
@@ -48,7 +48,8 @@ def test_eigenpairs_satisfy_residual_and_orthonormality(degree, n_elements):
 def test_eigenvalues_invariant_under_matrix_scaling():
     _, K, M = build_1d(3, 7)
     base = solve_generalized(K, M, want_vectors=False)
-    scaled = solve_generalized(3.7 * K.to_dense(), 3.7 * M.to_dense(),
+    scaled = solve_generalized(SymBandMatrix(K.n, K.bandwidth, 3.7 * K.data),
+                               SymBandMatrix(M.n, M.bandwidth, 3.7 * M.data),
                                want_vectors=False)
     np.testing.assert_allclose(scaled.eigenvalues, base.eigenvalues, rtol=1e-12)
 
@@ -65,35 +66,31 @@ def test_eigenvalues_do_not_depend_on_want_vectors():
 @pytest.mark.parametrize("degree,n_elements,quadrature", [
     (2, 9, "gauss"), (3, 12, "blended"), (5, 9, "blended"), (7, 3, "gauss"),
     (7, 30, "blended"), (4, 1, "blended")])
-@pytest.mark.parametrize("storage", ["band", "dense", "sparse"])
+@pytest.mark.parametrize("storage", ["band", "padded"])
 def test_band_polish_matches_dense_rayleigh_quotients(degree, n_elements,
                                                       quadrature, storage):
-    """Band-storage quotients equal the dense O(n^3) form for the same vectors."""
+    """Band-storage quotients equal the dense O(n^3) form for the same vectors.
+
+    "padded" stores the same pair with zero diagonals past full width,
+    as a SymBandMatrix with bandwidth >= n may.
+    """
     _, K, M = build_1d(degree, n_elements, quadrature)
     Kd, Md = K.to_dense(), M.to_dense()
     lam, V = sla.eigh(Kd, Md, driver="gvd")
     want = np.sort(rq_polish_dense(Kd, Md, lam, V)[0])
-    if storage == "band":
-        Ka, Ma = K, M
-    elif storage == "dense":
-        Ka, Ma = Kd, Md
-    else:
-        Ka, Ma = sps.csr_matrix(Kd), sps.csr_matrix(Md)
-    k_band = _lower_band(Ka, Kd)
-    m_band = _lower_band(Ma, Md)
+    k_band, m_band = K.data, M.data
+    if storage == "padded":
+        k_band, m_band = (np.pad(b, ((0, K.n), (0, 0))) for b in (k_band, m_band))
     got = np.sort(_rayleigh_quotients(k_band, m_band, V))
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
-def test_callers_dense_matrices_are_not_overwritten():
+def test_callers_band_data_is_not_overwritten():
     _, K, M = build_1d(3, 10)
-    Kd, Md = K.to_dense(), M.to_dense()
-    Kc, Mc = Kd.copy(), Md.copy()
-    solve_generalized(Kd, Md)
-    assert np.array_equal(Kd, Kc) and np.array_equal(Md, Mc)
-    Kf, Mf = np.asfortranarray(Kd), np.asfortranarray(Md)
-    solve_generalized(Kf, Mf, want_vectors=False)
-    assert np.array_equal(Kf, Kc) and np.array_equal(Mf, Mc)
+    Kc, Mc = K.data.copy(), M.data.copy()
+    solve_generalized(K, M)
+    solve_generalized(K, M, want_vectors=False)
+    assert np.array_equal(K.data, Kc) and np.array_equal(M.data, Mc)
 
 
 def test_eigenvector_sign_convention():
@@ -110,60 +107,70 @@ def test_want_vectors_false_returns_none():
 
 
 def test_indefinite_mass_reports_failing_pivot():
-    K = np.eye(3)
-    M = np.diag([1.0, -1.0, 1.0])
+    K = SymBandMatrix(3, 0, np.ones((1, 3)))
+    M = SymBandMatrix(3, 0, np.array([[1.0, -1.0, 1.0]]))
     with pytest.raises(DefinitenessError) as err:
         solve_generalized(K, M)
     assert err.value.pivot == 2
 
 
-def test_rejects_asymmetric_input():
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((5, 5))
-    K = A + A.T
-    M = np.eye(5)
-    K_bad = K.copy()
-    K_bad[0, 1] += 1.0
-    with pytest.raises(ValueError, match="symmetric"):
-        solve_generalized(K_bad, M)
-    with pytest.raises(ValueError):
-        solve_generalized(K, np.eye(4))
+@pytest.mark.parametrize("quadrature", ["gauss", "blended"])
+@pytest.mark.parametrize("row", [0, 1, 9, 19])
+@pytest.mark.parametrize("diagonal,factor", [(0, -1.0), (1, 3.0)],
+                         ids=["negated-diagonal", "inflated-subdiagonal"])
+def test_indefinite_mass_pivot_matches_lapack_cholesky(quadrature, row,
+                                                       diagonal, factor):
+    """The reported pivot is the one an independent Cholesky of M fails at.
+
+    An inflated subdiagonal entry (row + 1, row) fails a later pivot
+    than the column it sits in.
+    """
+    _, K, M = build_1d(3, 20, quadrature)  # 21 unknowns
+    M.data[diagonal, row] *= factor
+    pivot = dpotrf(M.to_dense(), lower=1)[1]
+    assert pivot > 0
+    with pytest.raises(DefinitenessError) as err:
+        solve_generalized(K, M)
+    assert err.value.pivot == pivot
 
 
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
 @pytest.mark.parametrize("which", ["K", "M"])
-@pytest.mark.parametrize("i,j", [(0, 1), (100, 3), (3, 149), (149, 148)])
-def test_asymmetry_is_found_in_every_row_block(which, i, j):
-    _, K, M = build_1d(3, 150)  # 151 unknowns: three row blocks of 64
-    pair = {"K": K.to_dense(), "M": M.to_dense()}
-    pair[which][i, j] += 1e-3 * np.abs(pair[which]).max()
-    with pytest.raises(ValueError, match="symmetric"):
-        solve_generalized(pair["K"], pair["M"])
-    with pytest.raises(ValueError, match="symmetric"):
-        solve_generalized(sps.csr_matrix(pair["K"]), sps.csr_matrix(pair["M"]))
-
-
-def test_band_inputs_skip_the_symmetry_check(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("symmetry checked")
-
-    monkeypatch.setattr(eigsolve, "_check_symmetric", refuse)
+def test_rejects_matrices_not_in_band_storage(storage, which):
     _, K, M = build_1d(3, 10)
-    assert solve_generalized(K, M).n == K.n
-    with pytest.raises(AssertionError, match="symmetry checked"):
-        solve_generalized(K.to_dense(), M.to_dense())
+    pair = {"K": K, "M": M}
+    dense = pair[which].to_dense()
+    pair[which] = dense if storage == "dense" else sps.csr_matrix(dense)
+    with pytest.raises(TypeError, match="SymBandMatrix"):
+        solve_generalized(pair["K"], pair["M"])
 
 
-@pytest.mark.parametrize("storage", ["band", "dense", "sparse", "full"])
+def test_rejects_pencils_of_unequal_size():
+    with pytest.raises(ValueError, match="size"):
+        solve_generalized(SymBandMatrix(5, 1, np.ones((2, 5))),
+                          SymBandMatrix(4, 1, np.ones((2, 4))))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["K", "M"])
+def test_rejects_non_finite_band_entries(which, bad):
+    _, K, M = build_1d(3, 10)
+    pair = {"K": K, "M": M}
+    pair[which].data[1, 4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solve_generalized(pair["K"], pair["M"])
+
+
+@pytest.mark.parametrize("storage", ["band", "full"])
 def test_dense_solve_peak_stays_within_its_estimate(storage):
     _, K, M = build_1d(5, 400)
     n, width = K.n, K.bandwidth + 1
-    if storage == "dense":
-        K, M = K.to_dense(), M.to_dense()
-    elif storage == "sparse":
-        K, M = sps.csr_matrix(K.to_dense()), sps.csr_matrix(M.to_dense())
-    elif storage == "full":  # every diagonal nonzero: the polish reads all n
+    if storage == "full":  # every diagonal stored: the polish reads all n
         A = np.random.default_rng(5).standard_normal((n, n))
-        K, M, width = A @ A.T, M.to_dense(), n
+        A = A @ A.T
+        K = SymBandMatrix(n, n - 1, np.array(
+            [np.pad(np.diagonal(A, -k), (0, k)) for k in range(n)]))
+        width = n
     tracemalloc.start()
     try:
         solve_generalized(K, M)
@@ -171,7 +178,7 @@ def test_dense_solve_peak_stays_within_its_estimate(storage):
     finally:
         tracemalloc.stop()
     assert peak <= _DENSE_BYTES_PER_N2 * n * n + _POLISH_BYTES_PER_NW * n * width
-    if storage != "full":
+    if storage == "band":
         assert peak <= 33 * n * n  # the banded polish adds next to nothing
 
 
