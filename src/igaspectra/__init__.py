@@ -17,8 +17,7 @@ from .analysis import (ConditionReport, ErrorReport, ExactSpectrum,
                        FunctionErrors, OutlierMetric, condition_report,
                        convergence_rates, eigenfunction_errors,
                        eigenvalue_errors, outlier_metric)
-from .assembly import (PenaltyConfig, SymBandMatrix, assemble_1d,
-                       assemble_1d_reference_gauss)
+from .assembly import SymBandMatrix, assemble_1d, assemble_1d_reference_gauss
 from .bspline import BSplineSpace, KnotVector, boundary_derivatives, eval_basis
 from .eigsolve import Spectrum, solve_generalized
 from .errors import (ConfigurationError, DefinitenessError, NumericError,
@@ -36,7 +35,7 @@ __all__ = [
     "BSplineSpace", "KnotVector", "eval_basis", "boundary_derivatives",
     "QuadratureRule", "BlendedRule", "ElementRule", "gauss_legendre",
     "gauss_lobatto", "optimal_blending", "blending_weight", "map_to_element",
-    "PenaltyConfig", "SymBandMatrix", "assemble_1d", "assemble_1d_reference_gauss",
+    "SymBandMatrix", "assemble_1d", "assemble_1d_reference_gauss",
     "spectral_sum",
     "Spectrum", "solve_generalized",
     "ExactSpectrum", "ErrorReport", "FunctionErrors", "ConditionReport",

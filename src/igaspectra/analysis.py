@@ -35,6 +35,9 @@ __all__ = [
 
 #: Relative errors below this are treated as machine-precision noise.
 ERROR_FLOOR = 1e-13
+#: The outlier tail: the top 5% of modes, flagged above 10x the bulk error.
+TAIL_FRACTION = 0.05
+FLAG_RATIO = 10.0
 
 
 @dataclass(frozen=True)
@@ -193,20 +196,19 @@ def eigenfunction_errors(spectrum: Spectrum, space: BSplineSpace,
     return FunctionErrors(tuple(modes), h1, l2)
 
 
-def convergence_rates(h_values, errors, floor: float = ERROR_FLOOR):
+def convergence_rates(h_values, errors):
     """Least-squares log-log convergence rate over a mesh sequence.
 
     Parameters
     ----------
     h_values, errors : array-like
         Mesh sizes (>= 3 of them, strictly decreasing) and the matching
-        error values.
-    floor : float
-        Errors at or below this are machine-precision noise.  The fit
-        uses the leading run of meshes whose error stays above the
-        floor; once the sequence touches the floor, all later meshes
-        are discarded (a noise value bouncing back above the floor on
-        an even finer mesh carries no rate information).
+        error values.  Errors at or below ``ERROR_FLOOR`` are
+        machine-precision noise.  The fit uses the leading run of meshes
+        whose error stays above the floor; once the sequence touches the
+        floor, all later meshes are discarded (a noise value bouncing
+        back above the floor on an even finer mesh carries no rate
+        information).
 
     Returns
     -------
@@ -222,7 +224,7 @@ def convergence_rates(h_values, errors, floor: float = ERROR_FLOOR):
         raise ValueError("need at least 3 meshes for a convergence rate")
     if not np.all(np.diff(h) < 0):
         raise ValueError("h_values must strictly decrease (coarsest mesh first)")
-    above = np.nonzero(e <= floor)[0]
+    above = np.nonzero(e <= ERROR_FLOOR)[0]
     stop = above[0] if len(above) else len(e)
     if stop < 2:
         return None
@@ -252,21 +254,19 @@ def condition_report(baseline: Spectrum, treated: Spectrum) -> ConditionReport:
                            100.0 * (1.0 - 1.0 / rho))
 
 
-def outlier_metric(spectrum: Spectrum, exact: ExactSpectrum,
-                   tail_fraction: float = 0.05,
-                   flag_ratio: float = 10.0) -> OutlierMetric:
+def outlier_metric(spectrum: Spectrum, exact: ExactSpectrum) -> OutlierMetric:
     """Compare the spectral tail against the bulk of the spectrum.
 
-    The maximum relative eigenvalue error over the top ``tail_fraction``
+    The maximum relative eigenvalue error over the top ``TAIL_FRACTION``
     of modes is set against the maximum over the remaining modes; the
-    tail is flagged when it exceeds ``flag_ratio`` times the bulk.
+    tail is flagged when it exceeds ``FLAG_RATIO`` times the bulk.
     Requires at least 20 modes so the tail is nonempty and meaningful.
     """
     n = spectrum.n
     if n < 20:
         raise ValueError(f"outlier metric needs >= 20 modes, got {n}")
     rel = eigenvalue_errors(spectrum, exact).relative_errors
-    k = math.ceil(tail_fraction * n)
+    k = math.ceil(TAIL_FRACTION * n)
     top = float(rel[n - k :].max())
     rest = float(rel[: n - k].max())
-    return OutlierMetric(top, rest, top > flag_ratio * rest)
+    return OutlierMetric(top, rest, top > FLAG_RATIO * rest)

@@ -12,15 +12,14 @@ Gauss is exact on the mass, Lobatto errs by E_p on its t^(2p) term only.
 The penalty adds, for each level l = 1 .. alpha
 with alpha = floor((p - 1) / 2), the endpoint terms
 
-    K += eta_a[l] * pi^2 * h^(6l-3) * [ w^(2l)(0) v^(2l)(0) + w^(2l)(1) v^(2l)(1) ]
-    M += eta_b[l] *        h^(6l-1) * [ same ]
+    K += pi^2 * h^(6l-3) * [ w^(2l)(0) v^(2l)(0) + w^(2l)(1) v^(2l)(1) ]
+    M +=        h^(6l-1) * [ same ]
 
 which only touch the (p-1) x (p-1) corner blocks and push the spurious
 outlier modes out of the discrete spectrum.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +29,6 @@ from .errors import ConfigurationError
 from .quadrature import BlendedRule, map_to_element
 
 __all__ = [
-    "PenaltyConfig",
     "SymBandMatrix",
     "assemble_1d",
     "assemble_1d_reference_gauss",
@@ -40,39 +38,6 @@ __all__ = [
 def penalty_order(degree: int) -> int:
     """Number of penalty levels alpha = floor((degree - 1) / 2)."""
     return (degree - 1) // 2
-
-
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Boundary penalty settings.
-
-    ``eta_a`` / ``eta_b`` hold one scaling factor per level l = 1..alpha
-    for the stiffness and mass penalties; the defaults are all ones.
-    """
-
-    enabled: bool
-    alpha: int
-    eta_a: tuple
-    eta_b: tuple
-
-    @classmethod
-    def for_degree(cls, degree: int, enabled: bool = True,
-                   eta_a=None, eta_b=None) -> "PenaltyConfig":
-        alpha = penalty_order(degree)
-        if eta_a is None:
-            eta_a = (1.0,) * alpha
-        if eta_b is None:
-            eta_b = (1.0,) * alpha
-        eta_a, eta_b = tuple(eta_a), tuple(eta_b)
-        if len(eta_a) != alpha or len(eta_b) != alpha:
-            raise ConfigurationError(
-                f"penalty factors must have length alpha = {alpha} for degree {degree}"
-            )
-        return cls(enabled, alpha, eta_a, eta_b)
-
-    @classmethod
-    def off(cls) -> "PenaltyConfig":
-        return cls(False, 0, (), ())
 
 
 class SymBandMatrix:
@@ -109,7 +74,7 @@ def _lobatto_defect(p: int) -> Fraction:
                     (2 * p + 1) * math.factorial(2 * p) ** 2)
 
 
-def assemble_1d(space: BSplineSpace, rule, penalty: PenaltyConfig | None = None
+def assemble_1d(space: BSplineSpace, rule, penalty: bool = False
                 ) -> tuple[SymBandMatrix, SymBandMatrix]:
     """Assemble the 1D stiffness and mass pair (K, M).
 
@@ -120,8 +85,8 @@ def assemble_1d(space: BSplineSpace, rule, penalty: PenaltyConfig | None = None
     rule : QuadratureRule or BlendedRule
         A plain rule needs at least p + 1 points; a blended rule must pair
         the (p+1)-point Gauss and Lobatto rules.
-    penalty : PenaltyConfig, optional
-        Boundary penalty; omitted or ``enabled=False`` leaves the
+    penalty : bool
+        Add the boundary penalty levels l = 1..alpha; False leaves the
         corner blocks untouched.
 
     Returns
@@ -141,13 +106,6 @@ def assemble_1d(space: BSplineSpace, rule, penalty: PenaltyConfig | None = None
     if qrule.m < p + 1:
         raise ConfigurationError(f"{qrule.family} rule with {qrule.m} points is "
                                  f"insufficient for degree {p}; need at least {p + 1}")
-    if penalty is None:
-        penalty = PenaltyConfig.off()
-    if penalty.enabled and penalty.alpha != penalty_order(p):
-        raise ConfigurationError(
-            f"penalty config built for alpha = {penalty.alpha}, "
-            f"but degree {p} requires alpha = {penalty_order(p)}"
-        )
 
     K = SymBandMatrix(n_dof, p)
     M = SymBandMatrix(n_dof, p)
@@ -179,12 +137,12 @@ def assemble_1d(space: BSplineSpace, rule, penalty: PenaltyConfig | None = None
             K.data[la - lb, lo + lb - 1 : hi + lb - 1] += k_loc[lo:hi, la, lb]
             M.data[la - lb, lo + lb - 1 : hi + lb - 1] += m_loc[lo:hi, la, lb]
 
-    if penalty.enabled:
+    if penalty:
         pi2 = math.pi * math.pi
-        for level in range(1, penalty.alpha + 1):
+        for level in range(1, penalty_order(p) + 1):
             d0, d1 = boundary_derivatives(space, 2 * level)
-            ca = penalty.eta_a[level - 1] * pi2 * h ** (6 * level - 3)
-            cb = penalty.eta_b[level - 1] * h ** (6 * level - 1)
+            ca = pi2 * h ** (6 * level - 3)
+            cb = h ** (6 * level - 1)
             for vec in (d0, d1):
                 nz = np.flatnonzero(vec)
                 i, j = np.meshgrid(nz, nz, indexing="ij")
@@ -195,7 +153,7 @@ def assemble_1d(space: BSplineSpace, rule, penalty: PenaltyConfig | None = None
     return K, M
 
 
-def assemble_1d_reference_gauss(space: BSplineSpace, penalty: PenaltyConfig | None = None
+def assemble_1d_reference_gauss(space: BSplineSpace, penalty: bool = False
                                 ) -> tuple[SymBandMatrix, SymBandMatrix]:
     """Assembly under the full (p+1)-point Gauss-Legendre baseline rule."""
     from .quadrature import gauss_legendre

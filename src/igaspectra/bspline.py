@@ -215,21 +215,9 @@ def boundary_derivatives(space: BSplineSpace, r: int) -> tuple[np.ndarray, np.nd
     p = kv.degree
     if r < 0 or r > p:
         raise ValueError(f"derivative order r = {r} not supported for degree {p}")
-    n_dof = space.n_dof
-    at0 = np.zeros(n_dof)
-    at1 = np.zeros(n_dof)
-
-    ders0 = kv.all_basis_ders(kv.span_of_element(0), 0.0, r)
-    for j in range(p + 1):
-        g = j  # full index on the first element
-        if 1 <= g <= n_dof:
-            at0[g - 1] = ders0[r, j]
-
-    last = kv.n_elements - 1
-    ders1 = kv.all_basis_ders(kv.span_of_element(last), 1.0, r)
-    first = kv.span_of_element(last) - p
-    for j in range(p + 1):
-        g = first + j
-        if 1 <= g <= n_dof:
-            at1[g - 1] = ders1[r, j]
-    return at0, at1
+    # full-basis rows of the first and last element; the interior basis drops the ends
+    at0 = np.zeros(kv.n_basis)
+    at1 = np.zeros(kv.n_basis)
+    at0[: p + 1] = kv.all_basis_ders(kv.span_of_element(0), 0.0, r)[r]
+    at1[-(p + 1):] = kv.all_basis_ders(kv.span_of_element(kv.n_elements - 1), 1.0, r)[r]
+    return at0[1:-1], at1[1:-1]

@@ -19,14 +19,12 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import pipeline
 from .errors import ConfigurationError, NumericError, ResourceError
 
 __all__ = ["ExperimentConfig", "main"]
-
-_SATURATED = "saturated"
 
 
 @dataclass(frozen=True)
@@ -79,16 +77,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"--format must be csv or json, got '{self.fmt}'")
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "dim": self.dim,
-            "degree": self.degree,
-            "elements": list(self.elements),
-            "quadrature": self.quadrature,
-            "penalty": self.penalty,
-            "modes": list(self.modes),
-            "format": self.fmt,
-        }
+        d = asdict(self)
+        del d["out"]
+        d["format"] = d.pop("fmt")
+        return d
 
 
 def run_spectrum(cfg: ExperimentConfig) -> dict:
@@ -101,7 +93,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     rows, rates = pipeline.convergence_table(
         cfg.dim, cfg.degree, cfg.elements, cfg.modes,
         cfg.quadrature, cfg.penalty == "on")
-    rates = {k: (_SATURATED if v is None else v) for k, v in rates.items()}
+    rates = {k: ("saturated" if v is None else v) for k, v in rates.items()}
     columns = {key: [row[key] for row in rows] for key in rows[0]}
     return {"config": cfg.as_dict(), "columns": columns, "rates": rates}
 
@@ -137,11 +129,21 @@ def render(result: dict, fmt: str) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` by ``text`` atomically, with the mode ``open(path, "w")`` gives."""
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".igaspectra-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+            fh.flush()
+            os.fchmod(fh.fileno(), mode)
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -192,11 +194,7 @@ _RUNNERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = ExperimentConfig(
-        command=args.command, dim=args.dim, degree=args.degree,
-        elements=tuple(args.elements), quadrature=args.quadrature,
-        penalty=args.penalty, modes=tuple(args.modes), fmt=args.fmt,
-        out=args.out)
+    cfg = ExperimentConfig(**vars(args))
     try:
         cfg.validate()
         result = _RUNNERS[cfg.command](cfg)

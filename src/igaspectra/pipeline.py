@@ -10,7 +10,7 @@ import numpy as np
 
 from .analysis import (ExactSpectrum, condition_report, convergence_rates,
                        eigenfunction_errors, eigenvalue_errors)
-from .assembly import PenaltyConfig, assemble_1d, assemble_1d_reference_gauss
+from .assembly import assemble_1d, assemble_1d_reference_gauss
 from .bspline import BSplineSpace
 from .eigsolve import Spectrum, _check_dense_fits, solve_generalized
 from .errors import ConfigurationError, check_memory
@@ -43,11 +43,10 @@ def build_1d(degree: int, n_elements: int, quadrature: str = "blended",
     check_memory(_assembly_bytes(degree, n_elements), "assembly",
                  f"{n_elements} elements of degree {degree}")
     space = BSplineSpace.create(degree, n_elements)
-    pen = PenaltyConfig.for_degree(degree) if penalty else PenaltyConfig.off()
     if quadrature == "gauss":
-        K, M = assemble_1d_reference_gauss(space, pen)
+        K, M = assemble_1d_reference_gauss(space, penalty)
     elif quadrature == "blended":
-        K, M = assemble_1d(space, optimal_blending(degree), pen)
+        K, M = assemble_1d(space, optimal_blending(degree), penalty)
     else:
         raise ConfigurationError(f"unknown quadrature scheme '{quadrature}'")
     return space, K, M
@@ -69,6 +68,8 @@ def solve_nd(dim: int, degree: int, n_elements: int, quadrature: str = "blended"
     """
     if dim not in (1, 2, 3):
         raise ConfigurationError(f"dim must be 1, 2 or 3, got {dim}")
+    if k is not None and k < 1:
+        raise ConfigurationError(f"k must be >= 1, got {k}")
     axis = solve_1d(degree, n_elements, quadrature, penalty,
                     want_vectors=(dim == 1))
     if dim == 1:
@@ -100,6 +101,11 @@ def convergence_table(dim: int, degree: int, meshes, modes=(1, 6),
     rule (None where the data sits at machine precision).
     """
     modes = tuple(modes)
+    if not modes:
+        raise ConfigurationError("convergence needs at least one --modes entry")
+    for m in modes:
+        if m < 1:
+            raise ConfigurationError(f"--modes entries must be >= 1, got {m}")
     rows = []
     for n in meshes:
         # only the modes up to max(modes) are read

@@ -29,7 +29,7 @@ def spectral_sum(axis_spectra, k: int | None = None) -> Spectrum:
     axis_spectra : sequence of Spectrum or 1D arrays
         One entry per axis (2 or 3 axes).
     k : int, optional
-        Keep only the k smallest sums, formed from the first k entries of
+        Keep only the k >= 1 smallest sums, formed from the first k entries of
         each sorted axis array; a tuple with an index >= k has k tuples at
         or below it, so the result is bitwise the head of the full sum.
 
@@ -42,6 +42,8 @@ def spectral_sum(axis_spectra, k: int | None = None) -> Spectrum:
     Raises ResourceError, before allocating, when the sums and their
     sorted copy would not fit in physical memory.
     """
+    if k is not None and k < 1:
+        raise ConfigurationError(f"k must be >= 1, got {k}")
     arrays = []
     for s in axis_spectra:
         arr = s.eigenvalues if isinstance(s, Spectrum) else np.asarray(s, dtype=float)

@@ -138,11 +138,11 @@ def band_pair_per_entry(space, rule, penalty):
                 if gj >= 0 and gi < n_dof:
                     K[la - lb, gj] += k_loc[la, lb]
                     M[la - lb, gj] += m_loc[la, lb]
-    if penalty.enabled:
+    if penalty:
         pi2 = math.pi * math.pi
-        for level in range(1, penalty.alpha + 1):
-            ca = penalty.eta_a[level - 1] * pi2 * h ** (6 * level - 3)
-            cb = penalty.eta_b[level - 1] * h ** (6 * level - 1)
+        for level in range(1, (p - 1) // 2 + 1):
+            ca = pi2 * h ** (6 * level - 3)
+            cb = h ** (6 * level - 1)
             for vec in boundary_derivatives(space, 2 * level):
                 nz = np.flatnonzero(vec)
                 for i in nz:

@@ -360,7 +360,7 @@ def test_criterion_7_independent_route_agreement():
     for n in (2, 10, 64):
         h = 1.0 / n
         space = ig.BSplineSpace.create(1, n)
-        K, M = ig.assemble_1d_reference_gauss(space, ig.PenaltyConfig.off())
+        K, M = ig.assemble_1d_reference_gauss(space)
         size = n - 1
         main = np.eye(size)
         off = np.eye(size, k=1) + np.eye(size, k=-1)
@@ -401,7 +401,7 @@ def test_criterion_7_independent_route_agreement():
     for p in range(1, 8):
         for n in (4, 9):
             space = ig.BSplineSpace.create(p, n)
-            _, M = ig.assemble_1d_reference_gauss(space, ig.PenaltyConfig.off())
+            _, M = ig.assemble_1d_reference_gauss(space)
             _, M_ref = dense_pair_overintegrated(space)
             mass_dev = max(mass_dev, np.abs(M.to_dense() - M_ref).max())
     ok_c = mass_dev <= 1e-12

@@ -14,7 +14,9 @@ from igaspectra import (BSplineSpace, ConfigurationError, ExactSpectrum,
                         Spectrum, condition_report, convergence_rates,
                         eigenfunction_errors, eigenvalue_errors,
                         outlier_metric, solve_1d, spectral_sum)
+from igaspectra import pipeline
 from igaspectra.analysis import ERROR_FLOOR
+from igaspectra.cli import ExperimentConfig
 from igaspectra.pipeline import convergence_table
 
 
@@ -214,8 +216,7 @@ def test_rate_fit_validates_input():
         convergence_rates([0.5, 0.25], [1.0, 0.1])
     with pytest.raises(ValueError):
         convergence_rates([0.5, 0.25, 0.125], [1.0, 0.1])
-    assert convergence_rates([0.5, 0.25, 0.125], [1e-3, 1e-4, 2e-14],
-                             floor=1e-13) is not None
+    assert convergence_rates([0.5, 0.25, 0.125], [1e-3, 1e-4, 2e-14]) is not None
     # repeated or ascending meshes leave no abscissa range to fit over
     with pytest.raises(ValueError, match="strictly decrease"):
         convergence_rates([0.2, 0.2, 0.2], [1e-3, 1e-4, 1e-5])
@@ -270,6 +271,17 @@ def test_nd_mode_beyond_resolution_is_refused():
     # degree 2 on one element leaves one DOF per axis, one mode in 2D
     with pytest.raises(ConfigurationError, match="mode 3 not resolvable with 1 DOFs"):
         convergence_table(2, 2, (1, 2, 3), (3,))
+
+
+@pytest.mark.parametrize("modes", [(0, 1), (1, -2), ()])
+def test_convergence_table_refuses_bad_modes_before_solving(monkeypatch, modes):
+    # the messages are those the command line gives for the same modes
+    with pytest.raises(ConfigurationError) as cli:
+        ExperimentConfig("convergence", 2, 3, (3, 6, 12), modes=modes).validate()
+    monkeypatch.setattr(pipeline, "solve_nd", lambda *a, **k: pytest.fail("solved"))
+    with pytest.raises(ConfigurationError) as lib:
+        convergence_table(2, 3, (3, 6, 12), modes=modes)
+    assert str(lib.value) == str(cli.value)
 
 
 def test_condition_report_identities():

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from igaspectra import (BSplineSpace, ConfigurationError, PenaltyConfig,
-                        ResourceError, SymBandMatrix, assemble_1d,
-                        assemble_1d_reference_gauss, build_1d, gauss_legendre,
-                        gauss_lobatto, optimal_blending, solve_1d)
+from igaspectra import (BSplineSpace, ConfigurationError, ResourceError,
+                        SymBandMatrix, assemble_1d, assemble_1d_reference_gauss,
+                        build_1d, gauss_legendre, gauss_lobatto,
+                        optimal_blending, solve_1d)
 from igaspectra.assembly import _lobatto_defect, penalty_order
 from igaspectra.bspline import boundary_derivatives
 from igaspectra.pipeline import _assembly_bytes
@@ -31,7 +31,7 @@ def test_hat_functions_give_classical_tridiagonals():
     n = 10
     h = 1.0 / n
     space = BSplineSpace.create(1, n)
-    K, M = assemble_1d(space, gauss_legendre(2), PenaltyConfig.off())
+    K, M = assemble_1d(space, gauss_legendre(2))
     size = n - 1
     main = np.eye(size)
     off = np.eye(size, k=1) + np.eye(size, k=-1)
@@ -45,7 +45,7 @@ def test_hat_functions_give_classical_tridiagonals():
 @pytest.mark.parametrize("n_elements", (4, 7))
 def test_full_gauss_assembly_matches_overintegrated_oracle(degree, n_elements):
     space = BSplineSpace.create(degree, n_elements)
-    K, M = assemble_1d_reference_gauss(space, PenaltyConfig.off())
+    K, M = assemble_1d_reference_gauss(space)
     K_ref, M_ref = dense_pair_overintegrated(space)
     np.testing.assert_allclose(M.to_dense(), M_ref, rtol=0.0,
                                atol=1e-13 * np.abs(M_ref).max())
@@ -58,9 +58,9 @@ def test_blended_assembly_is_affine_combination_of_parts(degree):
     space = BSplineSpace.create(degree, 6)
     m = degree + 1
     eta = optimal_blending(degree).eta
-    Kb, Mb = assemble_1d(space, optimal_blending(degree), PenaltyConfig.off())
-    Kg, Mg = assemble_1d(space, gauss_legendre(m), PenaltyConfig.off())
-    Kl, Ml = assemble_1d(space, gauss_lobatto(m), PenaltyConfig.off())
+    Kb, Mb = assemble_1d(space, optimal_blending(degree))
+    Kg, Mg = assemble_1d(space, gauss_legendre(m))
+    Kl, Ml = assemble_1d(space, gauss_lobatto(m))
     for blended, gauss, lobatto in ((Kb, Kg, Kl), (Mb, Mg, Ml)):
         want = eta * gauss.to_dense() + (1.0 - eta) * lobatto.to_dense()
         np.testing.assert_allclose(blended.to_dense(), want, rtol=0.0,
@@ -86,7 +86,7 @@ def test_blended_pencil_matches_40_digit_assembly(degree, n_elements):
     # summed as written, the blend cancels ~5 digits in float64 at p = 7;
     # the assembled pencil must stay within a few ulp of the exact one
     K, M = assemble_1d(BSplineSpace.create(degree, n_elements),
-                       optimal_blending(degree), PenaltyConfig.off())
+                       optimal_blending(degree))
     K_ref, M_ref = blended_pair_mpmath(degree, n_elements)
     for A, ref in ((K.to_dense(), K_ref), (M.to_dense(), M_ref)):
         assert np.abs(A - ref).max() <= 2e-14 * np.abs(ref).max()
@@ -102,7 +102,7 @@ def test_degree_7_blended_lambda1_keeps_its_digits(n_elements):
 def test_blending_underintegrates_mass_but_not_stiffness():
     """The scheme acts on the mass matrix only: gradients stay exact."""
     space = BSplineSpace.create(3, 4)
-    Kb, Mb = assemble_1d(space, optimal_blending(3), PenaltyConfig.off())
+    Kb, Mb = assemble_1d(space, optimal_blending(3))
     K_ref, M_ref = dense_pair_overintegrated(space)
     assert np.abs(Kb.to_dense() - K_ref).max() <= 1e-13 * np.abs(K_ref).max()
     assert np.abs(Mb.to_dense() - M_ref).max() > 1e-6
@@ -113,8 +113,8 @@ def test_penalty_touches_only_corner_blocks(degree):
     space = BSplineSpace.create(degree, 8)
     n_dof = space.n_dof
     rule = gauss_legendre(degree + 1)
-    K0, M0 = assemble_1d(space, rule, PenaltyConfig.off())
-    K1, M1 = assemble_1d(space, rule, PenaltyConfig.for_degree(degree))
+    K0, M0 = assemble_1d(space, rule)
+    K1, M1 = assemble_1d(space, rule, penalty=True)
     c = degree - 1  # corner block size
     for diff in (K1.to_dense() - K0.to_dense(), M1.to_dense() - M0.to_dense()):
         assert np.abs(diff[:c, :c]).max() > 0.0
@@ -129,8 +129,8 @@ def test_penalty_is_noop_below_cubic():
     for degree in (1, 2):
         space = BSplineSpace.create(degree, 6)
         rule = gauss_legendre(degree + 1)
-        K0, M0 = assemble_1d(space, rule, PenaltyConfig.off())
-        K1, M1 = assemble_1d(space, rule, PenaltyConfig.for_degree(degree))
+        K0, M0 = assemble_1d(space, rule)
+        K1, M1 = assemble_1d(space, rule, penalty=True)
         assert np.array_equal(K0.to_dense(), K1.to_dense())
         assert np.array_equal(M0.to_dense(), M1.to_dense())
 
@@ -142,8 +142,8 @@ def test_penalty_matches_endpoint_derivative_outer_products(degree):
     space = BSplineSpace.create(degree, n)
     h = 1.0 / n
     rule = gauss_legendre(degree + 1)
-    K0, M0 = assemble_1d(space, rule, PenaltyConfig.off())
-    K1, M1 = assemble_1d(space, rule, PenaltyConfig.for_degree(degree))
+    K0, M0 = assemble_1d(space, rule)
+    K1, M1 = assemble_1d(space, rule, penalty=True)
     dK = np.zeros((space.n_dof, space.n_dof))
     dM = np.zeros_like(dK)
     for level in range(1, penalty_order(degree) + 1):
@@ -159,24 +159,10 @@ def test_penalty_matches_endpoint_derivative_outer_products(degree):
                                atol=1e-12 * np.abs(dM).max())
 
 
-def test_penalty_factors_scale_linearly():
-    space = BSplineSpace.create(3, 5)
-    rule = gauss_legendre(4)
-    K0, M0 = assemble_1d(space, rule, PenaltyConfig.off())
-    K1, M1 = assemble_1d(space, rule, PenaltyConfig.for_degree(3))
-    K2, M2 = assemble_1d(space, rule,
-                         PenaltyConfig.for_degree(3, eta_a=(2.0,), eta_b=(3.0,)))
-    np.testing.assert_allclose(K2.to_dense() - K0.to_dense(),
-                               2.0 * (K1.to_dense() - K0.to_dense()), rtol=1e-13)
-    np.testing.assert_allclose(M2.to_dense() - M0.to_dense(),
-                               3.0 * (M1.to_dense() - M0.to_dense()), rtol=1e-13)
-
-
 def test_assembled_matrices_are_symmetric_with_bandwidth_p():
     for degree, n in ((2, 9), (5, 7)):
         space = BSplineSpace.create(degree, n)
-        K, M = assemble_1d(space, optimal_blending(degree),
-                           PenaltyConfig.for_degree(degree))
+        K, M = assemble_1d(space, optimal_blending(degree), penalty=True)
         assert K.bandwidth == degree and M.bandwidth == degree
         for A in (K.to_dense(), M.to_dense()):
             assert np.array_equal(A, A.T)
@@ -187,7 +173,7 @@ def test_interior_stiffness_rows_annihilate_constants():
     # the constant lies in the span of the full partition of unity
     degree, n = 3, 12
     space = BSplineSpace.create(degree, n)
-    K, _ = assemble_1d(space, gauss_legendre(4), PenaltyConfig.off())
+    K, _ = assemble_1d(space, gauss_legendre(4))
     sums = K.to_dense().sum(axis=1)
     scale = np.abs(K.to_dense()).max()
     assert np.abs(sums[degree + 1:-degree - 1]).max() <= 1e-13 * scale
@@ -196,23 +182,13 @@ def test_interior_stiffness_rows_annihilate_constants():
 def test_underresolved_rules_are_rejected():
     space = BSplineSpace.create(3, 4)
     with pytest.raises(ConfigurationError):
-        assemble_1d(space, gauss_legendre(3), PenaltyConfig.off())
+        assemble_1d(space, gauss_legendre(3))
     for rule1, rule2 in ((gauss_legendre(4), gauss_lobatto(3)),
                          (gauss_legendre(5), gauss_lobatto(5)),
                          (gauss_lobatto(4), gauss_legendre(4)),
                          (gauss_legendre(4), gauss_legendre(4))):
         with pytest.raises(ConfigurationError):
-            assemble_1d(space, BlendedRule(rule1, rule2, -1.5), PenaltyConfig.off())
-
-
-def test_penalty_level_count_is_validated():
-    space = BSplineSpace.create(3, 4)
-    with pytest.raises(ConfigurationError):
-        assemble_1d(space, gauss_legendre(4), PenaltyConfig.for_degree(5))
-    with pytest.raises(ConfigurationError):
-        PenaltyConfig.for_degree(5, eta_a=(1.0,))
-    with pytest.raises(ConfigurationError):
-        PenaltyConfig.for_degree(4, eta_b=(1.0, 1.0))
+            assemble_1d(space, BlendedRule(rule1, rule2, -1.5))
 
 
 def test_band_matrix_storage_contract():
@@ -240,8 +216,7 @@ def test_basis_is_tabulated_once_per_node_not_per_point(monkeypatch):
                         lambda self, *args: calls.append(1) or real(self, *args))
     for n in (5, 200):
         calls.clear()
-        assemble_1d(BSplineSpace.create(7, n), optimal_blending(7),
-                    PenaltyConfig.for_degree(7))
+        assemble_1d(BSplineSpace.create(7, n), optimal_blending(7), penalty=True)
         # 8 Gauss nodes, one p-th derivative table for the blend term,
         # and both endpoints at 3 penalty levels
         assert len(calls) == 8 + 1 + 6
@@ -256,9 +231,8 @@ def test_assembly_reproduces_per_entry_oracle_bitwise(degree, n_elements, penalt
     assume(n_elements + degree > 2)
     space = BSplineSpace.create(degree, n_elements)
     rule = gauss_legendre(degree + 1)
-    pen = PenaltyConfig.for_degree(degree, enabled=penalty)
-    K, M = assemble_1d(space, rule, pen)
-    K_ref, M_ref = band_pair_per_entry(space, rule, pen)
+    K, M = assemble_1d(space, rule, penalty)
+    K_ref, M_ref = band_pair_per_entry(space, rule, penalty)
     assert np.array_equal(K.data, K_ref)
     assert np.array_equal(M.data, M_ref)
 
@@ -270,8 +244,7 @@ def test_assembled_pair_is_persymmetric(degree, n_elements, blended, penalty):
     # the mesh, basis and penalty are symmetric under x -> 1 - x
     assume(n_elements + degree > 2)
     rule = optimal_blending(degree) if blended else gauss_legendre(degree + 1)
-    K, M = assemble_1d(BSplineSpace.create(degree, n_elements), rule,
-                       PenaltyConfig.for_degree(degree, enabled=penalty))
+    K, M = assemble_1d(BSplineSpace.create(degree, n_elements), rule, penalty)
     for A in (K.to_dense(), M.to_dense()):
         assert np.abs(A - A[::-1, ::-1]).max() <= 1e-12 * np.abs(A).max()
 

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import stat
 import tempfile
 
 import numpy as np
@@ -109,8 +110,9 @@ def test_json_output_round_trips(capsys):
     assert code == 0
     doc = json.loads(out)
     assert set(doc) == {"config", "rows", "rates"}
-    assert doc["config"]["degree"] == 3
-    assert doc["config"]["elements"] == [5, 10, 20]
+    assert doc["config"] == {"command": "convergence", "dim": 1, "degree": 3,
+                             "elements": [5, 10, 20], "quadrature": "blended",
+                             "penalty": "on", "modes": [1, 6], "format": "json"}
     assert len(doc["rows"]) == 3
     assert doc["rates"]["lambda_rel_error_mode1"] == pytest.approx(8.03, abs=0.1)
     # identical experiment, identical parsed content
@@ -194,15 +196,29 @@ def test_byte_reference_covers_a_saturated_rate(capsys):
     assert '"saturated"' in _reference_text(argv + ["--format", "json"])
 
 
-def test_output_file_is_replaced_atomically(tmp_path):
+def test_output_file_is_replaced_atomically(tmp_path, monkeypatch):
     out = tmp_path / "result.csv"
     out.write_text("stale content\n")
-    assert main(["condition", "--dim", "1", "--degree", "2",
-                 "--elements", "10", "--out", str(out)]) == 0
+    out.chmod(0o640)
+    synced = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+    argv = ["condition", "--dim", "1", "--degree", "2", "--elements", "10", "--out"]
+    old_umask = os.umask(0o022)
+    try:
+        assert main(argv + [str(out)]) == 0
+        assert main(argv + [str(tmp_path / "new.csv")]) == 0
+        os.umask(0o002)
+        assert main(argv + [str(tmp_path / "shared.csv")]) == 0
+    finally:
+        os.umask(old_umask)
     assert "stale" not in out.read_text()
     assert out.read_text().startswith("lambda_min")
-    leftovers = [p for p in os.listdir(tmp_path) if p != "result.csv"]
-    assert leftovers == []  # no temp files left behind
+    assert len(synced) == 3  # every file reaches the disk before its rename
+    # the modes `> path` gives: an existing file keeps its own, a new one
+    # gets 0o666 less the umask
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"result.csv": 0o640, "new.csv": 0o644, "shared.csv": 0o664}
 
 
 @pytest.mark.parametrize("argv", [

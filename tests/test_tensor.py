@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import igaspectra
 from igaspectra import (ConfigurationError, ResourceError, Spectrum,
                         build_1d, condition_report, condition_summary,
-                        solve_1d, spectral_sum)
+                        solve_1d, solve_nd, spectral_sum)
 
 from oracles import TensorSystem, materialize
 
@@ -113,6 +113,16 @@ def test_spectral_sum_invariants(axes, k):
     assert full[0] == sum(a.min() for a in arrays)
     assert full[-1] == sum(a.max() for a in arrays)
     assert np.array_equal(spectral_sum(arrays, k=k).eigenvalues, full[:k])
+
+
+@pytest.mark.parametrize("k", (0, -1))
+def test_k_below_one_is_refused(k):
+    axis = np.arange(1.0, 9.0)
+    with pytest.raises(ConfigurationError, match="k must be >= 1"):
+        spectral_sum([axis, axis], k=k)
+    for dim in (1, 2, 3):
+        with pytest.raises(ConfigurationError, match="k must be >= 1"):
+            solve_nd(dim, 3, 8, k=k)
 
 
 def test_spectral_sum_refuses_before_allocating():
