@@ -6,13 +6,13 @@ Run from the repository root after installing the package:
 """
 import numpy as np
 
-from igaspectra import (BSplineSpace, blending_weight, boundary_derivatives,
+from igaspectra import (KnotVector, blending_weight, boundary_derivatives,
                         eval_basis, gauss_legendre, gauss_lobatto,
                         optimal_blending)
 
 # ---------------------------------------------------------------- spline space
 p, n = 3, 8
-space = BSplineSpace.create(p, n)
+space = KnotVector(p, n)
 print(f"degree-{p} space on {n} elements: {space.n_dof} interior functions "
       f"(continuity C^{p - 1}, h = {space.h})")
 

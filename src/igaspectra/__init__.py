@@ -18,7 +18,7 @@ from .analysis import (ConditionReport, ErrorReport, ExactSpectrum,
                        convergence_rates, eigenfunction_errors,
                        eigenvalue_errors, outlier_metric)
 from .assembly import SymBandMatrix, assemble_1d, assemble_1d_reference_gauss
-from .bspline import BSplineSpace, KnotVector, boundary_derivatives, eval_basis
+from .bspline import KnotVector, boundary_derivatives, eval_basis
 from .eigsolve import Spectrum, solve_generalized
 from .errors import (ConfigurationError, DefinitenessError, NumericError,
                      ResourceError)
@@ -32,7 +32,7 @@ from .tensor import spectral_sum
 __version__ = "0.1.0"
 
 __all__ = [
-    "BSplineSpace", "KnotVector", "eval_basis", "boundary_derivatives",
+    "KnotVector", "eval_basis", "boundary_derivatives",
     "QuadratureRule", "BlendedRule", "ElementRule", "gauss_legendre",
     "gauss_lobatto", "optimal_blending", "blending_weight", "map_to_element",
     "SymBandMatrix", "assemble_1d", "assemble_1d_reference_gauss",

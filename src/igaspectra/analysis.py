@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bspline import BSplineSpace
+from .bspline import KnotVector
 from .eigsolve import Spectrum
 from .quadrature import gauss_legendre, map_to_element
 
@@ -55,8 +55,6 @@ class ExactSpectrum:
         if count < 1:
             raise ValueError("count must be >= 1")
         d = self.dim
-        if d == 1:
-            return (np.pi ** 2) * np.arange(1, count + 1, dtype=float) ** 2
         # enumerate index boxes, from the d-th root of `count` up by
         # 1.25 per step, until the box provably holds the `count`
         # smallest sums of d squares
@@ -143,7 +141,7 @@ def _element_sum(weights: np.ndarray, values: np.ndarray) -> float:
     return float(np.cumsum(per_element)[-1])
 
 
-def eigenfunction_errors(spectrum: Spectrum, space: BSplineSpace,
+def eigenfunction_errors(spectrum: Spectrum, space: KnotVector,
                          modes=(1,)) -> FunctionErrors:
     """1D eigenfunction errors in the H1 seminorm and the L2 norm.
 
@@ -154,7 +152,6 @@ def eigenfunction_errors(spectrum: Spectrum, space: BSplineSpace,
     """
     if spectrum.eigenvectors is None:
         raise ValueError("spectrum carries no eigenvectors")
-    kv = space.knot_vector
     p, n_el, h = space.degree, space.n_elements, space.h
     n_dof = space.n_dof
     if spectrum.eigenvectors.shape[0] != n_dof:
@@ -168,7 +165,7 @@ def eigenfunction_errors(spectrum: Spectrum, space: BSplineSpace,
     vals = np.empty((n_el, rule.m, p + 1))
     grads = np.empty((n_el, rule.m, p + 1))
     for q in range(rule.m):
-        ders = kv.all_basis_ders(kv.span_of_element(e), elem.nodes[:, q], 1)
+        ders = space.all_basis_ders(space.span_of_element(e), elem.nodes[:, q], 1)
         vals[:, q] = ders[:, 0]
         grads[:, q] = ders[:, 1]
 

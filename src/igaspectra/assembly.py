@@ -1,7 +1,7 @@
 """1D stiffness/mass assembly with blended quadrature and boundary penalty.
 
-For the Dirichlet Laplacian on [0, 1] discretised by the interior
-B-spline basis, this module builds the symmetric banded pair (K, M):
+For the Dirichlet Laplacian on [0, 1] discretised by the n_dof interior
+functions of a ``KnotVector``, this module builds the symmetric banded pair (K, M):
 
     K[i, j] = Q( phi_i' phi_j' ) + penalty,   M[i, j] = Q( phi_i phi_j ) + penalty,
 
@@ -24,9 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bspline import BSplineSpace, boundary_derivatives
+from .bspline import KnotVector, boundary_derivatives
 from .errors import ConfigurationError
-from .quadrature import BlendedRule, map_to_element
+from .quadrature import BlendedRule, gauss_legendre, map_to_element
 
 __all__ = [
     "SymBandMatrix",
@@ -59,6 +59,7 @@ class SymBandMatrix:
         self.data = data
 
     def to_dense(self) -> np.ndarray:
+        """The full symmetric n x n array."""
         a = np.zeros((self.n, self.n))
         for k in range(min(self.bandwidth, self.n - 1) + 1):
             vals = self.data[k, : self.n - k]
@@ -74,13 +75,13 @@ def _lobatto_defect(p: int) -> Fraction:
                     (2 * p + 1) * math.factorial(2 * p) ** 2)
 
 
-def assemble_1d(space: BSplineSpace, rule, penalty: bool = False
+def assemble_1d(space: KnotVector, rule, penalty: bool = False
                 ) -> tuple[SymBandMatrix, SymBandMatrix]:
     """Assemble the 1D stiffness and mass pair (K, M).
 
     Parameters
     ----------
-    space : BSplineSpace
+    space : KnotVector
         Interior spline space of degree p on n uniform elements.
     rule : QuadratureRule or BlendedRule
         A plain rule needs at least p + 1 points; a blended rule must pair
@@ -94,7 +95,6 @@ def assemble_1d(space: BSplineSpace, rule, penalty: bool = False
     (SymBandMatrix, SymBandMatrix)
         Stiffness and mass, both exactly symmetric with bandwidth p.
     """
-    kv = space.knot_vector
     p, n, h = space.degree, space.n_elements, space.h
     n_dof = space.n_dof
 
@@ -112,14 +112,14 @@ def assemble_1d(space: BSplineSpace, rule, penalty: bool = False
 
     # every element at once, one quadrature node at a time
     e = np.arange(n)
-    spans = kv.span_of_element(e)
+    spans = space.span_of_element(e)
     if blended:  # D^p N is constant per element; the copy frees the full table
-        dp = kv.all_basis_ders(spans, (e + 0.5) * h, p)[:, p].copy()
+        dp = space.all_basis_ders(spans, (e + 0.5) * h, p)[:, p].copy()
     k_loc = np.zeros((n, p + 1, p + 1))
     m_loc = np.zeros((n, p + 1, p + 1))
     elem = map_to_element(qrule, e * h, (e + 1) * h)
     for q in range(qrule.m):
-        ders = kv.all_basis_ders(spans, elem.nodes[:, q], 1)
+        ders = space.all_basis_ders(spans, elem.nodes[:, q], 1)
         vals, grads = ders[:, 0], ders[:, 1]
         w = elem.weights[:, q, None, None]
         m_loc += w * (vals[:, :, None] * vals[:, None, :])
@@ -153,9 +153,7 @@ def assemble_1d(space: BSplineSpace, rule, penalty: bool = False
     return K, M
 
 
-def assemble_1d_reference_gauss(space: BSplineSpace, penalty: bool = False
+def assemble_1d_reference_gauss(space: KnotVector, penalty: bool = False
                                 ) -> tuple[SymBandMatrix, SymBandMatrix]:
     """Assembly under the full (p+1)-point Gauss-Legendre baseline rule."""
-    from .quadrature import gauss_legendre
-
     return assemble_1d(space, gauss_legendre(space.degree + 1), penalty)

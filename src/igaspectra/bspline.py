@@ -1,9 +1,9 @@
 """Univariate B-spline bases of maximal smoothness on [0, 1].
 
 Open (clamped) uniform knot vectors only: degree p, n uniform elements,
-C^{p-1} continuity across the interior knots.  The full basis has
-n + p functions; dropping the first and last one enforces homogeneous
-Dirichlet conditions and leaves n + p - 2 interior functions.
+C^{p-1} continuity across the interior knots.  ``KnotVector`` is the
+space: its full basis has n + p functions; dropping the first and last
+one enforces homogeneous Dirichlet conditions and leaves n_dof = n + p - 2.
 
 Evaluation uses the standard triangular recurrence for the nonzero
 basis functions on a knot span, together with the companion recurrence
@@ -18,7 +18,6 @@ from .errors import ConfigurationError
 
 __all__ = [
     "KnotVector",
-    "BSplineSpace",
     "eval_basis",
     "boundary_derivatives",
 ]
@@ -26,7 +25,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Open uniform knot vector on [0, 1].
+    """Open uniform knot vector on [0, 1] and its Dirichlet spline space.
+
+    The full basis has n_basis = n_elements + degree functions; the
+    space keeps n_dof = n_basis - 2.  Interior function i (0-based) is
+    full-basis function i + 1: the first and last full-basis functions
+    are the only ones not vanishing at the endpoints and are removed.
 
     Parameters
     ----------
@@ -60,6 +64,11 @@ class KnotVector:
         """Number of functions in the full (unconstrained) basis."""
         return self.n_elements + self.degree
 
+    @property
+    def n_dof(self) -> int:
+        """Number of interior (Dirichlet) degrees of freedom."""
+        return self.n_basis - 2
+
     def find_span(self, x: float) -> int:
         """Knot-span index mu with knots[mu] <= x < knots[mu+1].
 
@@ -72,6 +81,7 @@ class KnotVector:
         return self.degree + e
 
     def span_of_element(self, e: int) -> int:
+        """Knot-span index of element e (scalar or array)."""
         return self.degree + e
 
     def all_basis_ders(self, span, x, n_ders: int) -> np.ndarray:
@@ -136,45 +146,12 @@ class KnotVector:
         return np.moveaxis(ders, (0, 1), (-2, -1))
 
 
-@dataclass(frozen=True)
-class BSplineSpace:
-    """Dirichlet-conforming spline space: interior basis functions only.
-
-    Interior function i (0-based, i = 0 .. n_dof-1) is full-basis
-    function i + 1; the first and last full-basis functions are the only
-    ones not vanishing at the endpoints and are removed.
-    """
-
-    knot_vector: KnotVector
-
-    @classmethod
-    def create(cls, degree: int, n_elements: int) -> "BSplineSpace":
-        return cls(KnotVector(degree, n_elements))
-
-    @property
-    def degree(self) -> int:
-        return self.knot_vector.degree
-
-    @property
-    def n_elements(self) -> int:
-        return self.knot_vector.n_elements
-
-    @property
-    def h(self) -> float:
-        return self.knot_vector.h
-
-    @property
-    def n_dof(self) -> int:
-        """Number of interior (Dirichlet) degrees of freedom."""
-        return self.knot_vector.n_basis - 2
-
-
-def eval_basis(space: BSplineSpace | KnotVector, x: float, r: int = 0):
+def eval_basis(space: KnotVector, x: float, r: int = 0):
     """Evaluate the full basis at one point.
 
     Parameters
     ----------
-    space : BSplineSpace or KnotVector
+    space : KnotVector
         Basis description.
     x : float
         Point in [0, 1].
@@ -192,17 +169,15 @@ def eval_basis(space: BSplineSpace | KnotVector, x: float, r: int = 0):
     ValueError
         If x lies outside [0, 1] or r exceeds the degree.
     """
-    kv = space.knot_vector if isinstance(space, BSplineSpace) else space
-    p = kv.degree
+    p = space.degree
     if r < 0 or r > p:
         raise ValueError(f"derivative order r = {r} not supported for degree {p}")
-    span = kv.find_span(x)
-    ders = kv.all_basis_ders(span, x, r)
-    first = span - p
-    return [(first + j, ders[r, j]) for j in range(p + 1)]
+    span = space.find_span(x)
+    ders = space.all_basis_ders(span, x, r)
+    return [(span - p + j, ders[r, j]) for j in range(p + 1)]
 
 
-def boundary_derivatives(space: BSplineSpace, r: int) -> tuple[np.ndarray, np.ndarray]:
+def boundary_derivatives(space: KnotVector, r: int) -> tuple[np.ndarray, np.ndarray]:
     """r-th derivative of every interior basis function at x = 0 and x = 1.
 
     Returns two arrays of length n_dof.  Only the first p-1 entries of
@@ -211,13 +186,13 @@ def boundary_derivatives(space: BSplineSpace, r: int) -> tuple[np.ndarray, np.nd
     r+1 functions nearest that endpoint, one of which is the removed
     boundary function.
     """
-    kv = space.knot_vector
-    p = kv.degree
+    p = space.degree
     if r < 0 or r > p:
         raise ValueError(f"derivative order r = {r} not supported for degree {p}")
     # full-basis rows of the first and last element; the interior basis drops the ends
-    at0 = np.zeros(kv.n_basis)
-    at1 = np.zeros(kv.n_basis)
-    at0[: p + 1] = kv.all_basis_ders(kv.span_of_element(0), 0.0, r)[r]
-    at1[-(p + 1):] = kv.all_basis_ders(kv.span_of_element(kv.n_elements - 1), 1.0, r)[r]
+    at0 = np.zeros(space.n_basis)
+    at1 = np.zeros(space.n_basis)
+    at0[: p + 1] = space.all_basis_ders(space.span_of_element(0), 0.0, r)[r]
+    at1[-(p + 1):] = space.all_basis_ders(
+        space.span_of_element(space.n_elements - 1), 1.0, r)[r]
     return at0[1:-1], at1[1:-1]

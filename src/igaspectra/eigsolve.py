@@ -50,6 +50,7 @@ class Spectrum:
 
     @property
     def n(self) -> int:
+        """Number of eigenvalues."""
         return len(self.eigenvalues)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from .analysis import (ExactSpectrum, condition_report, convergence_rates,
                        eigenfunction_errors, eigenvalue_errors)
 from .assembly import assemble_1d, assemble_1d_reference_gauss
-from .bspline import BSplineSpace
+from .bspline import KnotVector
 from .eigsolve import Spectrum, _check_dense_fits, solve_generalized
 from .errors import ConfigurationError, check_memory
 from .quadrature import optimal_blending
@@ -38,11 +38,15 @@ def build_1d(degree: int, n_elements: int, quadrature: str = "blended",
     quadrature "gauss" is the fully integrated (p+1)-point baseline,
     "blended" the dispersion-optimal Gauss/Lobatto combination.  Refuses
     with ResourceError, before allocating, a mesh whose assembly would
-    not fit in physical memory.
+    not fit in physical memory, and with ConfigurationError one with no
+    interior unknowns.
     """
     check_memory(_assembly_bytes(degree, n_elements), "assembly",
                  f"{n_elements} elements of degree {degree}")
-    space = BSplineSpace.create(degree, n_elements)
+    space = KnotVector(degree, n_elements)
+    if space.n_dof < 1:
+        raise ConfigurationError(
+            f"degree {degree} on {n_elements} element(s) has no interior unknowns")
     if quadrature == "gauss":
         K, M = assemble_1d_reference_gauss(space, penalty)
     elif quadrature == "blended":
@@ -118,8 +122,7 @@ def convergence_table(dim: int, degree: int, meshes, modes=(1, 6),
         for mode in modes:
             row[f"lambda_rel_error_mode{mode}"] = float(rep.relative_errors[mode - 1])
         if dim == 1:
-            space = BSplineSpace.create(degree, n)
-            fe = eigenfunction_errors(spec, space, modes)
+            fe = eigenfunction_errors(spec, KnotVector(degree, n), modes)
             for k, mode in enumerate(modes):
                 row[f"h1_error_mode{mode}"] = float(fe.h1[k])
                 row[f"l2_error_mode{mode}"] = float(fe.l2[k])

@@ -60,6 +60,7 @@ class QuadratureRule:
 
     @property
     def m(self) -> int:
+        """Number of nodes."""
         return len(self.nodes)
 
 

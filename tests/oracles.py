@@ -119,7 +119,6 @@ def band_pair_per_entry(space, rule, penalty):
     assembly keeps the same floating-point operations in the same order,
     so it must reproduce these bytes exactly.
     """
-    kv = space.knot_vector
     p, n, h, n_dof = space.degree, space.n_elements, space.h, space.n_dof
     K = np.zeros((p + 1, n_dof))
     M = np.zeros((p + 1, n_dof))
@@ -129,7 +128,7 @@ def band_pair_per_entry(space, rule, penalty):
         k_loc = np.zeros((p + 1, p + 1))
         m_loc = np.zeros((p + 1, p + 1))
         for x, w in zip(mid + scale * rule.nodes, scale * rule.weights):
-            ders = kv.all_basis_ders(p + e, x, 1)
+            ders = space.all_basis_ders(p + e, x, 1)
             m_loc += w * np.outer(ders[0], ders[0])
             k_loc += w * np.outer(ders[1], ders[1])
         for la in range(p + 1):
@@ -350,7 +349,6 @@ def eigenfunction_errors_loop(spectrum, space, modes=(1,)):
     into Python floats in element order.  The batched form must
     reproduce these bytes exactly.
     """
-    kv = space.knot_vector
     p, n_el, h = space.degree, space.n_elements, space.h
     n_dof = space.n_dof
     exact = ExactSpectrum(1)
@@ -360,7 +358,7 @@ def eigenfunction_errors_loop(spectrum, space, modes=(1,)):
     vals = np.empty((n_el, rule.m, p + 1))
     grads = np.empty((n_el, rule.m, p + 1))
     for q in range(rule.m):
-        ders = kv.all_basis_ders(kv.span_of_element(e), elem.nodes[:, q], 1)
+        ders = space.all_basis_ders(space.span_of_element(e), elem.nodes[:, q], 1)
         vals[:, q] = ders[:, 0]
         grads[:, q] = ders[:, 1]
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from igaspectra import (BSplineSpace, ConfigurationError, ResourceError,
+from igaspectra import (ConfigurationError, KnotVector, ResourceError,
                         SymBandMatrix, assemble_1d, assemble_1d_reference_gauss,
                         build_1d, gauss_legendre, gauss_lobatto,
                         optimal_blending, solve_1d)
@@ -30,7 +30,7 @@ def test_penalty_order_floor_table():
 def test_hat_functions_give_classical_tridiagonals():
     n = 10
     h = 1.0 / n
-    space = BSplineSpace.create(1, n)
+    space = KnotVector(1, n)
     K, M = assemble_1d(space, gauss_legendre(2))
     size = n - 1
     main = np.eye(size)
@@ -44,7 +44,7 @@ def test_hat_functions_give_classical_tridiagonals():
 @pytest.mark.parametrize("degree", (2, 3, 4, 5))
 @pytest.mark.parametrize("n_elements", (4, 7))
 def test_full_gauss_assembly_matches_overintegrated_oracle(degree, n_elements):
-    space = BSplineSpace.create(degree, n_elements)
+    space = KnotVector(degree, n_elements)
     K, M = assemble_1d_reference_gauss(space)
     K_ref, M_ref = dense_pair_overintegrated(space)
     np.testing.assert_allclose(M.to_dense(), M_ref, rtol=0.0,
@@ -55,7 +55,7 @@ def test_full_gauss_assembly_matches_overintegrated_oracle(degree, n_elements):
 
 @pytest.mark.parametrize("degree", (3, 4))
 def test_blended_assembly_is_affine_combination_of_parts(degree):
-    space = BSplineSpace.create(degree, 6)
+    space = KnotVector(degree, 6)
     m = degree + 1
     eta = optimal_blending(degree).eta
     Kb, Mb = assemble_1d(space, optimal_blending(degree))
@@ -85,7 +85,7 @@ def test_lobatto_defect_is_the_rational_closed_form(degree):
 def test_blended_pencil_matches_40_digit_assembly(degree, n_elements):
     # summed as written, the blend cancels ~5 digits in float64 at p = 7;
     # the assembled pencil must stay within a few ulp of the exact one
-    K, M = assemble_1d(BSplineSpace.create(degree, n_elements),
+    K, M = assemble_1d(KnotVector(degree, n_elements),
                        optimal_blending(degree))
     K_ref, M_ref = blended_pair_mpmath(degree, n_elements)
     for A, ref in ((K.to_dense(), K_ref), (M.to_dense(), M_ref)):
@@ -101,7 +101,7 @@ def test_degree_7_blended_lambda1_keeps_its_digits(n_elements):
 
 def test_blending_underintegrates_mass_but_not_stiffness():
     """The scheme acts on the mass matrix only: gradients stay exact."""
-    space = BSplineSpace.create(3, 4)
+    space = KnotVector(3, 4)
     Kb, Mb = assemble_1d(space, optimal_blending(3))
     K_ref, M_ref = dense_pair_overintegrated(space)
     assert np.abs(Kb.to_dense() - K_ref).max() <= 1e-13 * np.abs(K_ref).max()
@@ -110,7 +110,7 @@ def test_blending_underintegrates_mass_but_not_stiffness():
 
 @pytest.mark.parametrize("degree", (3, 4, 5, 6, 7))
 def test_penalty_touches_only_corner_blocks(degree):
-    space = BSplineSpace.create(degree, 8)
+    space = KnotVector(degree, 8)
     n_dof = space.n_dof
     rule = gauss_legendre(degree + 1)
     K0, M0 = assemble_1d(space, rule)
@@ -127,7 +127,7 @@ def test_penalty_touches_only_corner_blocks(degree):
 
 def test_penalty_is_noop_below_cubic():
     for degree in (1, 2):
-        space = BSplineSpace.create(degree, 6)
+        space = KnotVector(degree, 6)
         rule = gauss_legendre(degree + 1)
         K0, M0 = assemble_1d(space, rule)
         K1, M1 = assemble_1d(space, rule, penalty=True)
@@ -139,7 +139,7 @@ def test_penalty_is_noop_below_cubic():
 def test_penalty_matches_endpoint_derivative_outer_products(degree):
     """Reconstruct the penalty from the endpoint derivatives directly."""
     n = 6
-    space = BSplineSpace.create(degree, n)
+    space = KnotVector(degree, n)
     h = 1.0 / n
     rule = gauss_legendre(degree + 1)
     K0, M0 = assemble_1d(space, rule)
@@ -161,7 +161,7 @@ def test_penalty_matches_endpoint_derivative_outer_products(degree):
 
 def test_assembled_matrices_are_symmetric_with_bandwidth_p():
     for degree, n in ((2, 9), (5, 7)):
-        space = BSplineSpace.create(degree, n)
+        space = KnotVector(degree, n)
         K, M = assemble_1d(space, optimal_blending(degree), penalty=True)
         assert K.bandwidth == degree and M.bandwidth == degree
         for A in (K.to_dense(), M.to_dense()):
@@ -172,7 +172,7 @@ def test_interior_stiffness_rows_annihilate_constants():
     # rows whose basis function sees neither boundary sum to zero exactly:
     # the constant lies in the span of the full partition of unity
     degree, n = 3, 12
-    space = BSplineSpace.create(degree, n)
+    space = KnotVector(degree, n)
     K, _ = assemble_1d(space, gauss_legendre(4))
     sums = K.to_dense().sum(axis=1)
     scale = np.abs(K.to_dense()).max()
@@ -180,7 +180,7 @@ def test_interior_stiffness_rows_annihilate_constants():
 
 
 def test_underresolved_rules_are_rejected():
-    space = BSplineSpace.create(3, 4)
+    space = KnotVector(3, 4)
     with pytest.raises(ConfigurationError):
         assemble_1d(space, gauss_legendre(3))
     for rule1, rule2 in ((gauss_legendre(4), gauss_lobatto(3)),
@@ -216,7 +216,7 @@ def test_basis_is_tabulated_once_per_node_not_per_point(monkeypatch):
                         lambda self, *args: calls.append(1) or real(self, *args))
     for n in (5, 200):
         calls.clear()
-        assemble_1d(BSplineSpace.create(7, n), optimal_blending(7), penalty=True)
+        assemble_1d(KnotVector(7, n), optimal_blending(7), penalty=True)
         # 8 Gauss nodes, one p-th derivative table for the blend term,
         # and both endpoints at 3 penalty levels
         assert len(calls) == 8 + 1 + 6
@@ -229,7 +229,7 @@ def test_assembly_reproduces_per_entry_oracle_bitwise(degree, n_elements, penalt
     # plain rules only: blended pencils are checked against the 40-digit
     # assembly in test_blended_pencil_matches_40_digit_assembly
     assume(n_elements + degree > 2)
-    space = BSplineSpace.create(degree, n_elements)
+    space = KnotVector(degree, n_elements)
     rule = gauss_legendre(degree + 1)
     K, M = assemble_1d(space, rule, penalty)
     K_ref, M_ref = band_pair_per_entry(space, rule, penalty)
@@ -244,7 +244,7 @@ def test_assembled_pair_is_persymmetric(degree, n_elements, blended, penalty):
     # the mesh, basis and penalty are symmetric under x -> 1 - x
     assume(n_elements + degree > 2)
     rule = optimal_blending(degree) if blended else gauss_legendre(degree + 1)
-    K, M = assemble_1d(BSplineSpace.create(degree, n_elements), rule, penalty)
+    K, M = assemble_1d(KnotVector(degree, n_elements), rule, penalty)
     for A in (K.to_dense(), M.to_dense()):
         assert np.abs(A - A[::-1, ::-1]).max() <= 1e-12 * np.abs(A).max()
 

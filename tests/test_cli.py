@@ -1,11 +1,14 @@
 """Command line front end: formats, exit codes, determinism, atomic output."""
 
 import contextlib
+import dataclasses
 import importlib.util
+import inspect
 import io
 import json
 import os
 import pathlib
+import re
 import stat
 import tempfile
 
@@ -289,13 +292,46 @@ def test_mode_beyond_resolution_is_a_config_error(capsys):
     assert "configuration error" in err
 
 
-def test_experiment_config_validation_is_exhaustive():
-    cfg = ExperimentConfig("spectrum", 1, 3, (8,))
-    cfg.validate()  # the baseline is fine
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig("inspect", 1, 3, (8,)).validate()
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig("spectrum", 1, 3, ()).validate()
+def test_mesh_without_unknowns_is_refused(capsys):
+    message = "degree 1 on 1 element(s) has no interior unknowns"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        pipeline.solve_1d(1, 1)
+    for command, elements in (("spectrum", "1"), ("condition", "1"),
+                              ("convergence", "1,2,3")):
+        code, out, err = run(capsys, command, "--degree", "1", "--elements", elements)
+        assert (code, out, err) == (2, "", f"configuration error: {message}\n")
+
+
+# one config per raise in ExperimentConfig.validate, each changing one
+# field (or a command and its fields) of a valid baseline
+INVALID_CONFIGS = [
+    pytest.param({"command": "inspect"}, "unknown command", id="command"),
+    pytest.param({"dim": 4}, "--dim must be", id="dim"),
+    pytest.param({"degree": 8}, "--degree must be", id="degree"),
+    pytest.param({"elements": ()}, "at least one mesh", id="no-mesh"),
+    pytest.param({"elements": (0,)}, "--elements entries", id="mesh-size"),
+    pytest.param({"command": "convergence", "elements": (4, 8)},
+                 "at least 3 meshes", id="two-meshes"),
+    pytest.param({"command": "convergence", "elements": (8, 4, 16)},
+                 "strictly increasing", id="unordered-meshes"),
+    pytest.param({"elements": (4, 8)}, "exactly one mesh", id="one-mesh"),
+    pytest.param({"quadrature": "exotic"}, "--quadrature must be", id="quadrature"),
+    pytest.param({"penalty": "maybe"}, "--penalty must be", id="penalty"),
+    pytest.param({"command": "convergence", "elements": (4, 8, 16), "modes": ()},
+                 "at least one --modes", id="no-modes"),
+    pytest.param({"modes": (0,)}, "--modes entries", id="mode-rank"),
+    pytest.param({"fmt": "yaml"}, "--format must be", id="format"),
+]
+
+
+@pytest.mark.parametrize("change, message", INVALID_CONFIGS)
+def test_experiment_config_validation_is_exhaustive(change, message):
+    source = inspect.getsource(ExperimentConfig.validate)
+    assert source.count("raise ") == len(INVALID_CONFIGS)
+    base = ExperimentConfig("spectrum", 1, 3, (8,))
+    base.validate()  # the baseline is fine
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        dataclasses.replace(base, **change).validate()
 
 
 def _ints(lo, hi, min_size, max_size):
