@@ -6,9 +6,8 @@ Run from the repository root after installing the package:
 """
 import numpy as np
 
-from igaspectra import (KnotVector, blending_weight, boundary_derivatives,
-                        eval_basis, gauss_legendre, gauss_lobatto,
-                        optimal_blending)
+from igaspectra import (KnotVector, boundary_derivatives, eval_basis,
+                        gauss_legendre, gauss_lobatto, optimal_blending)
 
 # ---------------------------------------------------------------- spline space
 p, n = 3, 8
@@ -43,9 +42,9 @@ def defect(nodes, weights, k):
     return abs(float(weights @ nodes**k) - exact)
 
 
-blend = optimal_blending(3)
+eta = float(optimal_blending(3))
 bn = np.concatenate([g.nodes, lob.nodes])
-bw = np.concatenate([blend.eta * g.weights, (1.0 - blend.eta) * lob.weights])
+bw = np.concatenate([eta * g.weights, (1.0 - eta) * lob.weights])
 print("\nmonomial integration defect by degree k (m = 4):")
 print("  k      Gauss        Lobatto      blended(p=3)")
 for k in range(4, 9):
@@ -57,4 +56,4 @@ print("2m-3 = 5.  The blend gives up two degrees of exactness on purpose:")
 print("its weight eta is chosen per degree so the two phase errors cancel.")
 print("\nblending weights eta by spline degree:")
 for q in range(1, 8):
-    print(f"  p={q}: eta = {blending_weight(q)}")
+    print(f"  p={q}: eta = {float(optimal_blending(q))}")

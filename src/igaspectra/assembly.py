@@ -5,9 +5,9 @@ functions of a ``KnotVector``, this module builds the symmetric banded pair (K, 
 
     K[i, j] = Q( phi_i' phi_j' ) + penalty,   M[i, j] = Q( phi_i phi_j ) + penalty,
 
-where Q is the requested quadrature rule applied element by element.
-The blend of the (p+1)-point Gauss and Lobatto rules is one Gauss pass
-plus, per element, M += (1-eta) E_p (h/2)^(2p+1) / (p!)^2 (D^p N_a)(D^p N_b):
+where Q = eta Q_gauss + (1 - eta) Q_lobatto blends the (p+1)-point rules
+element by element, eta = 1 being plain Gauss.  Every pencil is one Gauss
+pass plus, per element, M += (1-eta) E_p (h/2)^(2p+1) / (p!)^2 (D^p N_a)(D^p N_b):
 Gauss is exact on the mass, Lobatto errs by E_p on its t^(2p) term only.
 The penalty adds, for each level l = 1 .. alpha
 with alpha = floor((p - 1) / 2), the endpoint terms
@@ -26,7 +26,7 @@ import numpy as np
 
 from .bspline import KnotVector, boundary_derivatives
 from .errors import ConfigurationError
-from .quadrature import BlendedRule, gauss_legendre, map_to_element
+from .quadrature import gauss_legendre, map_to_element
 
 __all__ = [
     "SymBandMatrix",
@@ -75,7 +75,7 @@ def _lobatto_defect(p: int) -> Fraction:
                     (2 * p + 1) * math.factorial(2 * p) ** 2)
 
 
-def assemble_1d(space: KnotVector, rule, penalty: bool = False
+def assemble_1d(space: KnotVector, eta, penalty: bool = False
                 ) -> tuple[SymBandMatrix, SymBandMatrix]:
     """Assemble the 1D stiffness and mass pair (K, M).
 
@@ -83,9 +83,9 @@ def assemble_1d(space: KnotVector, rule, penalty: bool = False
     ----------
     space : KnotVector
         Interior spline space of degree p on n uniform elements.
-    rule : QuadratureRule or BlendedRule
-        A plain rule needs at least p + 1 points; a blended rule must pair
-        the (p+1)-point Gauss and Lobatto rules.
+    eta : int or Fraction
+        Gauss weight of the blend of the (p+1)-point Gauss and Lobatto
+        rules: 1 is plain Gauss, ``optimal_blending(p)`` the optimal blend.
     penalty : bool
         Add the boundary penalty levels l = 1..alpha; False leaves the
         corner blocks untouched.
@@ -98,36 +98,27 @@ def assemble_1d(space: KnotVector, rule, penalty: bool = False
     p, n, h = space.degree, space.n_elements, space.h
     n_dof = space.n_dof
 
-    blended = isinstance(rule, BlendedRule)
-    qrule = rule.rule1 if blended else rule
-    if blended and [(r.family, r.m) for r in (rule.rule1, rule.rule2)] != [
-            ("gauss", p + 1), ("lobatto", p + 1)]:
-        raise ConfigurationError(f"blend must pair the {p + 1}-point Gauss and Lobatto rules")
-    if qrule.m < p + 1:
-        raise ConfigurationError(f"{qrule.family} rule with {qrule.m} points is "
-                                 f"insufficient for degree {p}; need at least {p + 1}")
-
     K = SymBandMatrix(n_dof, p)
     M = SymBandMatrix(n_dof, p)
 
     # every element at once, one quadrature node at a time
     e = np.arange(n)
     spans = space.span_of_element(e)
-    if blended:  # D^p N is constant per element; the copy frees the full table
-        dp = space.all_basis_ders(spans, (e + 0.5) * h, p)[:, p].copy()
+    # D^p N is constant per element; the copy frees the full table
+    dp = space.all_basis_ders(spans, (e + 0.5) * h, p)[:, p].copy()
     k_loc = np.zeros((n, p + 1, p + 1))
     m_loc = np.zeros((n, p + 1, p + 1))
-    elem = map_to_element(qrule, e * h, (e + 1) * h)
-    for q in range(qrule.m):
+    elem = map_to_element(gauss_legendre(p + 1), e * h, (e + 1) * h)
+    for q in range(p + 1):
         ders = space.all_basis_ders(spans, elem.nodes[:, q], 1)
         vals, grads = ders[:, 0], ders[:, 1]
         w = elem.weights[:, q, None, None]
         m_loc += w * (vals[:, :, None] * vals[:, None, :])
         k_loc += w * (grads[:, :, None] * grads[:, None, :])
-    if blended:
-        # K needs no term: both rules are exact to degree 2p-1 > 2p-2
-        coeff = (1 - Fraction(rule.eta)) * _lobatto_defect(p) / math.factorial(p) ** 2
-        m_loc += float(coeff) * (0.5 * h) ** (2 * p + 1) * (dp[:, :, None] * dp[:, None, :])
+    # K needs no term: both rules are exact to degree 2p-1 > 2p-2.  At
+    # eta = 1 the coefficient is 0.0, and adding +-0.0 changes no bit of m_loc
+    coeff = (1 - eta) * _lobatto_defect(p) / math.factorial(p) ** 2
+    m_loc += float(coeff) * (0.5 * h) ** (2 * p + 1) * (dp[:, :, None] * dp[:, None, :])
     # local (la, lb) of element e is entry (e+la-1, e+lb-1); descending la
     # adds each band entry's contributions in element order
     for la in range(p, -1, -1):
@@ -156,4 +147,4 @@ def assemble_1d(space: KnotVector, rule, penalty: bool = False
 def assemble_1d_reference_gauss(space: KnotVector, penalty: bool = False
                                 ) -> tuple[SymBandMatrix, SymBandMatrix]:
     """Assembly under the full (p+1)-point Gauss-Legendre baseline rule."""
-    return assemble_1d(space, gauss_legendre(space.degree + 1), penalty)
+    return assemble_1d(space, 1, penalty)

@@ -61,6 +61,8 @@ class Spectrum:
 #: the sum.
 _DENSE_BYTES_PER_N2 = 32
 _POLISH_BYTES_PER_NW = 80
+#: Eigenvectors polished at a time; bounds the extended-precision buffers.
+_POLISH_BLOCK = 16
 
 
 def _check_dense_fits(n: int, width: int) -> None:
@@ -72,13 +74,13 @@ def _check_dense_fits(n: int, width: int) -> None:
                  "dense solve", f"{n} unknowns")
 
 
-def _rayleigh_quotients(k_band, m_band, vec, block: int = 16) -> np.ndarray:
+def _rayleigh_quotients(k_band, m_band, vec) -> np.ndarray:
     """(v^T K v) / (v^T M v) for each column v of ``vec``, in extended precision.
 
     K and M come as lower bands (SymBandMatrix storage).  Each row sum
     (K v)_i runs over the band entries of row i in column order, as the
-    dense product K @ v would, at O(n p) per vector; ``block`` columns
-    at a time bound the extended-precision buffers.
+    dense product K @ v would, at O(n p) per vector; ``_POLISH_BLOCK``
+    columns at a time bound the extended-precision buffers.
     """
     n, count = vec.shape
     w = min(max(len(k_band), len(m_band)), n)
@@ -87,10 +89,10 @@ def _rayleigh_quotients(k_band, m_band, vec, block: int = 16) -> np.ndarray:
         for k in range(min(len(band), n)):
             rows[: n - k, m, w - 1 + k] = band[k, : n - k]
             rows[k:, m, w - 1 - k] = band[k, : n - k]
-    pad = np.zeros((n + 2 * w - 2, block), dtype=np.longdouble)
+    pad = np.zeros((n + 2 * w - 2, _POLISH_BLOCK), dtype=np.longdouble)
     forms = np.empty((2, count), dtype=np.longdouble)
-    for c in range(0, count, block):
-        v = pad[w - 1 : w - 1 + n, : min(block, count - c)]
+    for c in range(0, count, _POLISH_BLOCK):
+        v = pad[w - 1 : w - 1 + n, : min(_POLISH_BLOCK, count - c)]
         v[...] = vec[:, c : c + v.shape[1]]
         # window[i, j] holds v[i + j - w + 1], the entries row i multiplies
         window = sliding_window_view(pad[:, : v.shape[1]], 2 * w - 1, axis=0)

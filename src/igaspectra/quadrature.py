@@ -1,12 +1,14 @@
-"""Gauss-Legendre and Gauss-Lobatto rules and their optimal blends.
+"""Gauss-Legendre and Gauss-Lobatto rules and their optimal blend weights.
 
 Rules live on the reference interval [-1, 1].  An m-point Gauss-Legendre
 rule integrates polynomials up to degree 2m-1 exactly, an m-point
-Gauss-Lobatto rule up to degree 2m-3.  A blended rule
+Gauss-Lobatto rule up to degree 2m-3.  The blend of the two (p+1)-point
+rules
 
     Q = eta * Q_gauss + (1 - eta) * Q_lobatto
 
-with the degree-dependent weight from ``optimal_blending`` minimises the
+is fixed by the one number eta: 1 is plain Gauss, and the exact
+degree-dependent weight from ``optimal_blending`` minimises the
 dispersion error of the spectral approximation.  eta reaches -105013/2,
 so the two sums are never formed: ``assembly`` applies Gauss alone plus
 the closed-form Lobatto error on t^(2p).
@@ -25,12 +27,10 @@ from .errors import ConfigurationError, NumericError
 
 __all__ = [
     "QuadratureRule",
-    "BlendedRule",
     "ElementRule",
     "gauss_legendre",
     "gauss_lobatto",
     "optimal_blending",
-    "blending_weight",
     "map_to_element",
 ]
 
@@ -54,7 +54,6 @@ _OPTIMAL_ETA = {
 class QuadratureRule:
     """A quadrature rule on [-1, 1]: strictly increasing nodes, weights."""
 
-    family: str
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -70,15 +69,6 @@ class ElementRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class BlendedRule:
-    """Affine combination eta * rule1 + (1 - eta) * rule2."""
-
-    rule1: QuadratureRule
-    rule2: QuadratureRule
-    eta: float
 
 
 def _legendre_pair(n: int, x: float) -> tuple[float, float]:
@@ -129,7 +119,7 @@ def gauss_legendre(m: int) -> QuadratureRule:
     if m < 1:
         raise ConfigurationError(f"Gauss-Legendre needs m >= 1 points, got {m}")
     if m == 1:
-        return QuadratureRule("gauss", np.array([0.0]), np.array([2.0]))
+        return QuadratureRule(np.array([0.0]), np.array([2.0]))
 
     def f_and_fp(x):
         pn, _ = _legendre_pair(m, x)
@@ -147,7 +137,7 @@ def gauss_legendre(m: int) -> QuadratureRule:
         dp = _legendre_deriv(m, x)
         half.append(2.0 / ((1.0 - x * x) * dp * dp))
     weights = np.concatenate([half, half[: m // 2][::-1]])
-    return QuadratureRule("gauss", nodes, np.asarray(weights))
+    return QuadratureRule(nodes, np.asarray(weights))
 
 
 def gauss_lobatto(m: int) -> QuadratureRule:
@@ -160,7 +150,7 @@ def gauss_lobatto(m: int) -> QuadratureRule:
     nm1 = m - 1
     w_end = 2.0 / (m * nm1)
     if m == 2:
-        return QuadratureRule("lobatto", np.array([-1.0, 1.0]), np.array([w_end, w_end]))
+        return QuadratureRule(np.array([-1.0, 1.0]), np.array([w_end, w_end]))
 
     def f_and_fp(x):
         pn, _ = _legendre_pair(nm1, x)
@@ -182,27 +172,16 @@ def gauss_lobatto(m: int) -> QuadratureRule:
         pn, _ = _legendre_pair(nm1, x)
         half.append(2.0 / (m * nm1 * pn * pn))
     weights = np.concatenate([half, half[: m // 2][::-1]])
-    return QuadratureRule("lobatto", nodes, np.asarray(weights))
+    return QuadratureRule(nodes, np.asarray(weights))
 
 
-def blending_weight(degree: int) -> float:
-    """Dispersion-optimal Gauss weight eta for a given degree (1..7)."""
+def optimal_blending(degree: int) -> Fraction:
+    """Exact dispersion-optimal Gauss weight eta for a given degree (1..7)."""
     if degree not in _OPTIMAL_ETA:
         raise ConfigurationError(
             f"no optimal blending tabulated for degree {degree} (supported: 1..7)"
         )
-    return float(_OPTIMAL_ETA[degree])
-
-
-def optimal_blending(degree: int) -> BlendedRule:
-    """Optimally blended rule for the given degree.
-
-    Combines the (p+1)-point Gauss-Legendre and (p+1)-point
-    Gauss-Lobatto rules with the tabulated degree-dependent weight.
-    """
-    eta = blending_weight(degree)
-    m = degree + 1
-    return BlendedRule(gauss_legendre(m), gauss_lobatto(m), eta)
+    return _OPTIMAL_ETA[degree]
 
 
 def map_to_element(rule: QuadratureRule, a, b) -> ElementRule:

@@ -1,5 +1,6 @@
 """Assembly of the 1D pair: quadrature handling, penalty terms, band storage."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -16,7 +17,6 @@ from igaspectra import (ConfigurationError, KnotVector, ResourceError,
 from igaspectra.assembly import _lobatto_defect, penalty_order
 from igaspectra.bspline import boundary_derivatives
 from igaspectra.pipeline import _assembly_bytes
-from igaspectra.quadrature import BlendedRule
 
 from oracles import (band_pair_per_entry, blended_pair_mpmath,
                      dense_pair_overintegrated)
@@ -31,7 +31,7 @@ def test_hat_functions_give_classical_tridiagonals():
     n = 10
     h = 1.0 / n
     space = KnotVector(1, n)
-    K, M = assemble_1d(space, gauss_legendre(2))
+    K, M = assemble_1d(space, 1)
     size = n - 1
     main = np.eye(size)
     off = np.eye(size, k=1) + np.eye(size, k=-1)
@@ -53,18 +53,22 @@ def test_full_gauss_assembly_matches_overintegrated_oracle(degree, n_elements):
                                atol=1e-13 * np.abs(K_ref).max())
 
 
-@pytest.mark.parametrize("degree", (3, 4))
-def test_blended_assembly_is_affine_combination_of_parts(degree):
-    space = KnotVector(degree, 6)
-    m = degree + 1
-    eta = optimal_blending(degree).eta
-    Kb, Mb = assemble_1d(space, optimal_blending(degree))
-    Kg, Mg = assemble_1d(space, gauss_legendre(m))
-    Kl, Ml = assemble_1d(space, gauss_lobatto(m))
-    for blended, gauss, lobatto in ((Kb, Kg, Kl), (Mb, Mg, Ml)):
-        want = eta * gauss.to_dense() + (1.0 - eta) * lobatto.to_dense()
-        np.testing.assert_allclose(blended.to_dense(), want, rtol=0.0,
-                                   atol=1e-13 * np.abs(want).max())
+@pytest.mark.parametrize("degree,eta", [
+    pytest.param(3, optimal_blending(3), id="3"),
+    pytest.param(4, optimal_blending(4), id="4"),
+    # eta = 0 is the Lobatto pencil alone: the closed-form E_p must match
+    # an independent (p+1)-point Lobatto quadrature at every degree
+    *(pytest.param(p, 0, id=f"lobatto-{p}") for p in range(1, 8))])
+def test_blended_assembly_is_affine_combination_of_parts(degree, eta):
+    for n_elements in (6, 11):
+        space = KnotVector(degree, n_elements)
+        Kb, Mb = assemble_1d(space, eta)
+        Kg, Mg = assemble_1d(space, 1)
+        Kl, Ml = band_pair_per_entry(space, gauss_lobatto(degree + 1), False)
+        for blended, gauss, lobatto in ((Kb, Kg, Kl), (Mb, Mg, Ml)):
+            want = float(eta) * gauss.data + (1.0 - float(eta)) * lobatto
+            np.testing.assert_allclose(blended.data, want, rtol=0.0,
+                                       atol=1e-13 * np.abs(want).max())
 
 
 # E_p = Q_lobatto(t^(2p)) - 2/(2p+1) for the (p+1)-point Lobatto rule
@@ -112,9 +116,8 @@ def test_blending_underintegrates_mass_but_not_stiffness():
 def test_penalty_touches_only_corner_blocks(degree):
     space = KnotVector(degree, 8)
     n_dof = space.n_dof
-    rule = gauss_legendre(degree + 1)
-    K0, M0 = assemble_1d(space, rule)
-    K1, M1 = assemble_1d(space, rule, penalty=True)
+    K0, M0 = assemble_1d(space, 1)
+    K1, M1 = assemble_1d(space, 1, penalty=True)
     c = degree - 1  # corner block size
     for diff in (K1.to_dense() - K0.to_dense(), M1.to_dense() - M0.to_dense()):
         assert np.abs(diff[:c, :c]).max() > 0.0
@@ -128,9 +131,8 @@ def test_penalty_touches_only_corner_blocks(degree):
 def test_penalty_is_noop_below_cubic():
     for degree in (1, 2):
         space = KnotVector(degree, 6)
-        rule = gauss_legendre(degree + 1)
-        K0, M0 = assemble_1d(space, rule)
-        K1, M1 = assemble_1d(space, rule, penalty=True)
+        K0, M0 = assemble_1d(space, 1)
+        K1, M1 = assemble_1d(space, 1, penalty=True)
         assert np.array_equal(K0.to_dense(), K1.to_dense())
         assert np.array_equal(M0.to_dense(), M1.to_dense())
 
@@ -141,9 +143,8 @@ def test_penalty_matches_endpoint_derivative_outer_products(degree):
     n = 6
     space = KnotVector(degree, n)
     h = 1.0 / n
-    rule = gauss_legendre(degree + 1)
-    K0, M0 = assemble_1d(space, rule)
-    K1, M1 = assemble_1d(space, rule, penalty=True)
+    K0, M0 = assemble_1d(space, 1)
+    K1, M1 = assemble_1d(space, 1, penalty=True)
     dK = np.zeros((space.n_dof, space.n_dof))
     dM = np.zeros_like(dK)
     for level in range(1, penalty_order(degree) + 1):
@@ -173,22 +174,10 @@ def test_interior_stiffness_rows_annihilate_constants():
     # the constant lies in the span of the full partition of unity
     degree, n = 3, 12
     space = KnotVector(degree, n)
-    K, _ = assemble_1d(space, gauss_legendre(4))
+    K, _ = assemble_1d(space, 1)
     sums = K.to_dense().sum(axis=1)
     scale = np.abs(K.to_dense()).max()
     assert np.abs(sums[degree + 1:-degree - 1]).max() <= 1e-13 * scale
-
-
-def test_underresolved_rules_are_rejected():
-    space = KnotVector(3, 4)
-    with pytest.raises(ConfigurationError):
-        assemble_1d(space, gauss_legendre(3))
-    for rule1, rule2 in ((gauss_legendre(4), gauss_lobatto(3)),
-                         (gauss_legendre(5), gauss_lobatto(5)),
-                         (gauss_lobatto(4), gauss_legendre(4)),
-                         (gauss_legendre(4), gauss_legendre(4))):
-        with pytest.raises(ConfigurationError):
-            assemble_1d(space, BlendedRule(rule1, rule2, -1.5))
 
 
 def test_band_matrix_storage_contract():
@@ -214,11 +203,11 @@ def test_basis_is_tabulated_once_per_node_not_per_point(monkeypatch):
     real = KnotVector.all_basis_ders
     monkeypatch.setattr(KnotVector, "all_basis_ders",
                         lambda self, *args: calls.append(1) or real(self, *args))
-    for n in (5, 200):
+    for eta, n in itertools.product((1, optimal_blending(7)), (5, 200)):
         calls.clear()
-        assemble_1d(KnotVector(7, n), optimal_blending(7), penalty=True)
+        assemble_1d(KnotVector(7, n), eta, penalty=True)
         # 8 Gauss nodes, one p-th derivative table for the blend term,
-        # and both endpoints at 3 penalty levels
+        # and both endpoints at 3 penalty levels, whatever eta is
         assert len(calls) == 8 + 1 + 6
 
 
@@ -226,13 +215,12 @@ def test_basis_is_tabulated_once_per_node_not_per_point(monkeypatch):
 @given(degree=st.integers(1, 7), n_elements=st.integers(1, 40),
        penalty=st.booleans())
 def test_assembly_reproduces_per_entry_oracle_bitwise(degree, n_elements, penalty):
-    # plain rules only: blended pencils are checked against the 40-digit
+    # Gauss only: blended pencils are checked against the 40-digit
     # assembly in test_blended_pencil_matches_40_digit_assembly
     assume(n_elements + degree > 2)
     space = KnotVector(degree, n_elements)
-    rule = gauss_legendre(degree + 1)
-    K, M = assemble_1d(space, rule, penalty)
-    K_ref, M_ref = band_pair_per_entry(space, rule, penalty)
+    K, M = assemble_1d(space, 1, penalty)
+    K_ref, M_ref = band_pair_per_entry(space, gauss_legendre(degree + 1), penalty)
     assert np.array_equal(K.data, K_ref)
     assert np.array_equal(M.data, M_ref)
 
@@ -243,8 +231,8 @@ def test_assembly_reproduces_per_entry_oracle_bitwise(degree, n_elements, penalt
 def test_assembled_pair_is_persymmetric(degree, n_elements, blended, penalty):
     # the mesh, basis and penalty are symmetric under x -> 1 - x
     assume(n_elements + degree > 2)
-    rule = optimal_blending(degree) if blended else gauss_legendre(degree + 1)
-    K, M = assemble_1d(KnotVector(degree, n_elements), rule, penalty)
+    eta = optimal_blending(degree) if blended else 1
+    K, M = assemble_1d(KnotVector(degree, n_elements), eta, penalty)
     for A in (K.to_dense(), M.to_dense()):
         assert np.abs(A - A[::-1, ::-1]).max() <= 1e-12 * np.abs(A).max()
 

@@ -1,14 +1,14 @@
 """Quadrature rules: closed forms, exactness degrees, blending identities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from igaspectra import (ConfigurationError, blending_weight,
-                        gauss_legendre, gauss_lobatto, map_to_element,
-                        optimal_blending)
+from igaspectra import (ConfigurationError, gauss_legendre, gauss_lobatto,
+                        map_to_element, optimal_blending)
 from igaspectra.assembly import _lobatto_defect
 
 SQ3 = math.sqrt(3.0)
@@ -119,40 +119,32 @@ def test_rules_are_exactly_symmetric_with_unit_mass():
             assert np.all(np.diff(rule.nodes) > 0)
 
 
-def test_blending_weight_table():
+def test_optimal_blending_table():
     for degree, eta in OPTIMAL_GAUSS_WEIGHT.items():
-        assert blending_weight(degree) == eta
+        assert isinstance(optimal_blending(degree), Fraction)
+        assert float(optimal_blending(degree)) == eta
     with pytest.raises(ConfigurationError):
-        blending_weight(0)
+        optimal_blending(0)
     with pytest.raises(ConfigurationError):
-        blending_weight(8)
-
-
-@pytest.mark.parametrize("degree", range(1, 8))
-def test_optimal_blending_combines_both_p_plus_1_point_rules(degree):
-    blend = optimal_blending(degree)
-    assert blend.rule1.family == "gauss"
-    assert blend.rule2.family == "lobatto"
-    assert blend.rule1.m == degree + 1
-    assert blend.rule2.m == degree + 1
-    assert blend.eta == blending_weight(degree)
+        optimal_blending(8)
 
 
 def test_blended_rule_keeps_lobatto_exactness_only():
     # both parts integrate degree <= 2m-3 exactly, so the blend does too;
     # at 2m-2 only the Lobatto part (weight 1 - eta) errs, by (1 - eta) E_p
-    def blended_moment(blend, k):
-        return (blend.eta * np.dot(blend.rule1.weights, blend.rule1.nodes**k)
-                + (1.0 - blend.eta) * np.dot(blend.rule2.weights, blend.rule2.nodes**k))
+    def blended_moment(degree, k):
+        eta = float(optimal_blending(degree))
+        gauss, lobatto = gauss_legendre(degree + 1), gauss_lobatto(degree + 1)
+        return (eta * np.dot(gauss.weights, gauss.nodes**k)
+                + (1.0 - eta) * np.dot(lobatto.weights, lobatto.nodes**k))
 
     for degree in (2, 4):
-        blend = optimal_blending(degree)
         m = degree + 1
         for k in range(0, 2 * m - 2):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert blended_moment(blend, k) == pytest.approx(exact, abs=1e-12)
-        defect = blended_moment(blend, 2 * m - 2) - 2.0 / (2 * m - 1)
-        want = (1.0 - blend.eta) * float(_lobatto_defect(degree))
+            assert blended_moment(degree, k) == pytest.approx(exact, abs=1e-12)
+        defect = blended_moment(degree, 2 * m - 2) - 2.0 / (2 * m - 1)
+        want = (1.0 - float(optimal_blending(degree))) * float(_lobatto_defect(degree))
         assert defect == pytest.approx(want, rel=1e-12)
 
 
