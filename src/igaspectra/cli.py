@@ -8,10 +8,15 @@ Three subcommands:
 * ``condition``    conditioning of the baseline Gauss pencil vs the
                    blended + penalty pencil
 
-Results go to stdout or, with ``--out``, to a file written atomically
-(temporary file in the target directory, renamed on success).  CSV uses
-one header line and 17 significant digits; JSON mirrors the same data.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+``build_parser`` declares every flag, its default and its allowed values
+once; the runners read the parsed namespace, which JSON echoes as
+``config`` without ``out``.  Results go to stdout or, with ``--out``, to
+a file written atomically (temporary file in the target directory,
+renamed on success).  CSV uses one header line and 17 significant
+digits; JSON mirrors the same data.  Exit codes: 0 success, 2
+configuration error (``configuration error: <message>`` on stderr,
+nothing on stdout, whether argparse or the library refused), 3
+numerical failure.
 """
 
 import argparse
@@ -19,91 +24,32 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
 
 from . import pipeline
 from .errors import ConfigurationError, NumericError, ResourceError
 
-__all__ = ["ExperimentConfig", "main"]
+__all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated description of one command line experiment."""
-
-    command: str
-    dim: int
-    degree: int
-    elements: tuple
-    quadrature: str = "blended"
-    penalty: str = "on"
-    modes: tuple = (1, 6)
-    fmt: str = "csv"
-    out: str | None = None
-
-    def validate(self) -> None:
-        if self.command not in ("spectrum", "convergence", "condition"):
-            raise ConfigurationError(f"unknown command '{self.command}'")
-        if self.dim not in (1, 2, 3):
-            raise ConfigurationError(f"--dim must be 1, 2 or 3, got {self.dim}")
-        if not 1 <= self.degree <= 7:
-            raise ConfigurationError(
-                f"--degree must be between 1 and 7, got {self.degree}")
-        if not self.elements:
-            raise ConfigurationError("--elements must list at least one mesh")
-        for n in self.elements:
-            if n < 1:
-                raise ConfigurationError(f"--elements entries must be >= 1, got {n}")
-        if self.command == "convergence" and len(self.elements) < 3:
-            raise ConfigurationError(
-                "convergence needs at least 3 meshes in --elements")
-        if self.command == "convergence" and list(self.elements) != sorted(set(self.elements)):
-            raise ConfigurationError("convergence needs strictly increasing --elements")
-        if self.command in ("spectrum", "condition") and len(self.elements) != 1:
-            raise ConfigurationError(
-                f"{self.command} takes exactly one mesh in --elements")
-        if self.quadrature not in ("gauss", "blended"):
-            raise ConfigurationError(
-                f"--quadrature must be gauss or blended, got '{self.quadrature}'")
-        if self.penalty not in ("on", "off"):
-            raise ConfigurationError(
-                f"--penalty must be on or off, got '{self.penalty}'")
-        if self.command == "convergence" and not self.modes:
-            raise ConfigurationError("convergence needs at least one --modes entry")
-        for m in self.modes:
-            if m < 1:
-                raise ConfigurationError(f"--modes entries must be >= 1, got {m}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigurationError(f"--format must be csv or json, got '{self.fmt}'")
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        del d["out"]
-        d["format"] = d.pop("fmt")
-        return d
+def run_spectrum(args) -> dict:
+    return {"columns": pipeline.spectrum_rows(args.dim, args.degree, args.elements[0],
+                                              args.quadrature, args.penalty == "on")}
 
 
-def run_spectrum(cfg: ExperimentConfig) -> dict:
-    columns = pipeline.spectrum_rows(cfg.dim, cfg.degree, cfg.elements[0],
-                                     cfg.quadrature, cfg.penalty == "on")
-    return {"config": cfg.as_dict(), "columns": columns}
-
-
-def run_convergence(cfg: ExperimentConfig) -> dict:
+def run_convergence(args) -> dict:
     rows, rates = pipeline.convergence_table(
-        cfg.dim, cfg.degree, cfg.elements, cfg.modes,
-        cfg.quadrature, cfg.penalty == "on")
+        args.dim, args.degree, args.elements, args.modes,
+        args.quadrature, args.penalty == "on")
     rates = {k: ("saturated" if v is None else v) for k, v in rates.items()}
     columns = {key: [row[key] for row in rows] for key in rows[0]}
-    return {"config": cfg.as_dict(), "columns": columns, "rates": rates}
+    return {"columns": columns, "rates": rates}
 
 
-def run_condition(cfg: ExperimentConfig) -> dict:
-    rep = pipeline.condition_summary(cfg.dim, cfg.degree, cfg.elements[0])
+def run_condition(args) -> dict:
+    rep = pipeline.condition_summary(args.dim, args.degree, args.elements[0])
     names = ("lambda_min", "lambda_max", "lambda_max_treated", "gamma",
              "gamma_treated", "rho", "reduction_percent")
-    return {"config": cfg.as_dict(),
-            "columns": {name: [getattr(rep, name)] for name in names}}
+    return {"columns": {name: [getattr(rep, name)] for name in names}}
 
 
 def render(result: dict, fmt: str) -> str:
@@ -151,36 +97,61 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _int_list(text: str) -> tuple:
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line with ConfigurationError, not usage text and exit."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
+def _positive_ints(text: str) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list: {exc}")
+        values = tuple(int(part) for part in text.split(",") if part)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got '{text}'") from None
+    if min(values, default=1) < 1:
+        raise argparse.ArgumentTypeError(f"entries must be >= 1, got '{text}'")
+    return values
+
+
+def _one_mesh(text: str) -> tuple:
+    values = _positive_ints(text)
+    if len(values) != 1:
+        raise argparse.ArgumentTypeError(f"takes exactly one mesh, got '{text}'")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="igaspectra",
         description="Spectral approximation of the Dirichlet Laplacian on unit "
                     "boxes with smooth B-splines, blended quadrature and a "
                     "boundary penalty.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "full discrete spectrum on one mesh"),
-        ("convergence", "errors and rates over a mesh sequence"),
-        ("condition", "condition numbers, baseline vs blended + penalty"),
+    for name, help_text, mesh, mesh_help in (
+        ("spectrum", "full discrete spectrum on one mesh",
+         _one_mesh, "elements per axis"),
+        ("convergence", "errors and rates over a mesh sequence", _positive_ints,
+         "elements per axis of each mesh, comma separated, at least 3, increasing"),
+        ("condition", "condition numbers, baseline vs blended + penalty",
+         _one_mesh, "elements per axis"),
     ):
         s = sub.add_parser(name, help=help_text)
-        s.add_argument("--dim", type=int, default=1, help="space dimension (1, 2 or 3)")
-        s.add_argument("--degree", type=int, default=3, help="spline degree (1..7)")
-        s.add_argument("--elements", type=_int_list, default=(10,),
-                       help="elements per axis, comma separated for a mesh sequence")
-        s.add_argument("--quadrature", default="blended",
-                       help="gauss (full) or blended (dispersion optimal)")
-        s.add_argument("--penalty", default="on", help="boundary penalty: on or off")
-        s.add_argument("--modes", type=_int_list, default=(1, 6),
-                       help="mode ranks tracked by convergence runs")
-        s.add_argument("--format", dest="fmt", default="csv", help="csv or json")
+        s.add_argument("--dim", type=int, choices=(1, 2, 3), default=1,
+                       help="space dimension")
+        s.add_argument("--degree", type=int, choices=range(1, 8), default=3,
+                       help="spline degree")
+        # a string default goes through the type, so it is checked like input
+        s.add_argument("--elements", type=mesh, default="10", help=mesh_help)
+        s.add_argument("--quadrature", choices=("gauss", "blended"), default="blended",
+                       help="full Gauss or dispersion-optimal blended rule")
+        s.add_argument("--penalty", choices=("on", "off"), default="on",
+                       help="boundary penalty")
+        s.add_argument("--modes", type=_positive_ints, default="1,6",
+                       help="mode ranks tracked by convergence runs, comma separated")
+        s.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format")
         s.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
 
@@ -193,16 +164,15 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = ExperimentConfig(**vars(args))
     try:
-        cfg.validate()
-        result = _RUNNERS[cfg.command](cfg)
-        text = render(result, cfg.fmt)
-        if cfg.out is None:
+        args = build_parser().parse_args(argv)
+        result = _RUNNERS[args.command](args)
+        result["config"] = {k: v for k, v in vars(args).items() if k != "out"}
+        text = render(result, args.format)
+        if args.out is None:
             sys.stdout.write(text)
         else:
-            _write_atomic(cfg.out, text)
+            _write_atomic(args.out, text)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -102,9 +102,14 @@ def convergence_table(dim: int, degree: int, meshes, modes=(1, 6),
 
     Returns (rows, rates): one row per mesh with the per-mode errors,
     and a rate dict per tracked quantity fitted with the standard floor
-    rule (None where the data sits at machine precision).
+    rule (None where the data sits at machine precision).  Refuses,
+    before solving, meshes that are not at least 3 strictly increasing
+    entries and modes that are empty or below 1.
     """
-    modes = tuple(modes)
+    meshes, modes = tuple(meshes), tuple(modes)
+    if len(meshes) < 3 or any(a >= b for a, b in zip(meshes, meshes[1:])):
+        raise ConfigurationError(
+            f"convergence needs at least 3 strictly increasing meshes, got {list(meshes)}")
     if not modes:
         raise ConfigurationError("convergence needs at least one --modes entry")
     for m in modes:

@@ -16,7 +16,6 @@ from igaspectra import (ConfigurationError, ExactSpectrum, KnotVector,
                         outlier_metric, solve_1d, spectral_sum)
 from igaspectra import pipeline
 from igaspectra.analysis import ERROR_FLOOR
-from igaspectra.cli import ExperimentConfig
 from igaspectra.pipeline import convergence_table
 
 
@@ -275,13 +274,16 @@ def test_nd_mode_beyond_resolution_is_refused():
 
 @pytest.mark.parametrize("modes", [(0, 1), (1, -2), ()])
 def test_convergence_table_refuses_bad_modes_before_solving(monkeypatch, modes):
-    # the messages are those the command line gives for the same modes
-    with pytest.raises(ConfigurationError) as cli:
-        ExperimentConfig("convergence", 2, 3, (3, 6, 12), modes=modes).validate()
     monkeypatch.setattr(pipeline, "solve_nd", lambda *a, **k: pytest.fail("solved"))
-    with pytest.raises(ConfigurationError) as lib:
+    with pytest.raises(ConfigurationError, match="--modes entr"):
         convergence_table(2, 3, (3, 6, 12), modes=modes)
-    assert str(lib.value) == str(cli.value)
+
+
+@pytest.mark.parametrize("meshes", [(), (5, 10), (20, 10, 5), (5, 5, 10)])
+def test_convergence_table_refuses_bad_meshes_before_solving(monkeypatch, meshes):
+    monkeypatch.setattr(pipeline, "solve_nd", lambda *a, **k: pytest.fail("solved"))
+    with pytest.raises(ConfigurationError, match="at least 3 strictly increasing"):
+        convergence_table(1, 3, meshes)
 
 
 def test_condition_report_identities():
