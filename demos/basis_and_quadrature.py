@@ -30,11 +30,11 @@ print("touch exactly that corner block of K and M.\n")
 
 # ---------------------------------------------------------------- quadratures
 m = 4
-g = gauss_legendre(m)
-lob = gauss_lobatto(m)
+gn, gw = gauss_legendre(m)
+ln, lw = gauss_lobatto(m)
 print(f"{m}-point rules on [-1, 1]:")
-print(f"  Gauss-Legendre nodes   {np.round(g.nodes, 10).tolist()}")
-print(f"  Gauss-Lobatto  nodes   {np.round(lob.nodes, 10).tolist()}")
+print(f"  Gauss-Legendre nodes   {np.round(gn, 10).tolist()}")
+print(f"  Gauss-Lobatto  nodes   {np.round(ln, 10).tolist()}")
 
 
 def defect(nodes, weights, k):
@@ -43,13 +43,13 @@ def defect(nodes, weights, k):
 
 
 eta = float(optimal_blending(3))
-bn = np.concatenate([g.nodes, lob.nodes])
-bw = np.concatenate([eta * g.weights, (1.0 - eta) * lob.weights])
+bn = np.concatenate([gn, ln])
+bw = np.concatenate([eta * gw, (1.0 - eta) * lw])
 print("\nmonomial integration defect by degree k (m = 4):")
 print("  k      Gauss        Lobatto      blended(p=3)")
 for k in range(4, 9):
-    print(f"  {k}   {defect(g.nodes, g.weights, k):10.2e} "
-          f"{defect(lob.nodes, lob.weights, k):12.2e} "
+    print(f"  {k}   {defect(gn, gw, k):10.2e} "
+          f"{defect(ln, lw, k):12.2e} "
           f"{defect(bn, bw, k):12.2e}")
 print("\nGauss is exact through 2m-1 = 7, Lobatto and the blend through")
 print("2m-3 = 5.  The blend gives up two degrees of exactness on purpose:")

@@ -24,16 +24,15 @@ from .errors import (ConfigurationError, DefinitenessError, NumericError,
                      ResourceError)
 from .pipeline import (build_1d, condition_summary, convergence_table,
                        solve_1d, solve_nd, spectrum_rows)
-from .quadrature import (ElementRule, QuadratureRule, gauss_legendre,
-                         gauss_lobatto, map_to_element, optimal_blending)
+from .quadrature import (gauss_legendre, gauss_lobatto, map_to_element,
+                         optimal_blending)
 from .tensor import spectral_sum
 
 __version__ = "0.1.0"
 
 __all__ = [
     "KnotVector", "eval_basis", "boundary_derivatives",
-    "QuadratureRule", "ElementRule", "gauss_legendre", "gauss_lobatto",
-    "optimal_blending", "map_to_element",
+    "gauss_legendre", "gauss_lobatto", "optimal_blending", "map_to_element",
     "SymBandMatrix", "assemble_1d", "assemble_1d_reference_gauss",
     "spectral_sum",
     "Spectrum", "solve_generalized",

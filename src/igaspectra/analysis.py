@@ -158,14 +158,14 @@ def eigenfunction_errors(spectrum: Spectrum, space: KnotVector,
         raise ValueError("eigenvector length does not match the space")
     exact = ExactSpectrum(1)
 
-    rule = gauss_legendre(p + 4)
     # basis values/gradients, (element, node, function), one node at a time
     e = np.arange(n_el)
-    elem = map_to_element(rule, e * h, (e + 1) * h)
-    vals = np.empty((n_el, rule.m, p + 1))
-    grads = np.empty((n_el, rule.m, p + 1))
-    for q in range(rule.m):
-        ders = space.all_basis_ders(space.span_of_element(e), elem.nodes[:, q], 1)
+    nodes, weights = map_to_element(gauss_legendre(p + 4), e * h, (e + 1) * h)
+    m = nodes.shape[1]
+    vals = np.empty((n_el, m, p + 1))
+    grads = np.empty((n_el, m, p + 1))
+    for q in range(m):
+        ders = space.all_basis_ders(space.span_of_element(e), nodes[:, q], 1)
         vals[:, q] = ders[:, 0]
         grads[:, q] = ders[:, 1]
 
@@ -179,17 +179,17 @@ def eigenfunction_errors(spectrum: Spectrum, space: KnotVector,
         # coeff[i] holds the p + 1 coefficients active on element i
         coeff = sliding_window_view(U_full, p + 1)[:, :, None]
         u_ex, du_ex = exact.eigenfunction_1d(mode)
-        u_q, du_q = u_ex(elem.nodes), du_ex(elem.nodes)
+        u_q, du_q = u_ex(nodes), du_ex(nodes)
 
         uh = (vals @ coeff)[..., 0]
-        norm2 = _element_sum(elem.weights, uh * uh)
-        inner = _element_sum(elem.weights, uh * u_q)
+        norm2 = _element_sum(weights, uh * uh)
+        inner = _element_sum(weights, uh * u_q)
         coeff = (1.0 if inner >= 0 else -1.0) / math.sqrt(norm2) * coeff
 
         du = (grads @ coeff)[..., 0] - du_q
         dv = (vals @ coeff)[..., 0] - u_q
-        h1[k] = math.sqrt(_element_sum(elem.weights, du * du))
-        l2[k] = math.sqrt(_element_sum(elem.weights, dv * dv))
+        h1[k] = math.sqrt(_element_sum(weights, du * du))
+        l2[k] = math.sqrt(_element_sum(weights, dv * dv))
     return FunctionErrors(tuple(modes), h1, l2)
 
 

@@ -108,11 +108,11 @@ def assemble_1d(space: KnotVector, eta, penalty: bool = False
     dp = space.all_basis_ders(spans, (e + 0.5) * h, p)[:, p].copy()
     k_loc = np.zeros((n, p + 1, p + 1))
     m_loc = np.zeros((n, p + 1, p + 1))
-    elem = map_to_element(gauss_legendre(p + 1), e * h, (e + 1) * h)
+    nodes, weights = map_to_element(gauss_legendre(p + 1), e * h, (e + 1) * h)
     for q in range(p + 1):
-        ders = space.all_basis_ders(spans, elem.nodes[:, q], 1)
+        ders = space.all_basis_ders(spans, nodes[:, q], 1)
         vals, grads = ders[:, 0], ders[:, 1]
-        w = elem.weights[:, q, None, None]
+        w = weights[:, q, None, None]
         m_loc += w * (vals[:, :, None] * vals[:, None, :])
         k_loc += w * (grads[:, :, None] * grads[:, None, :])
     # K needs no term: both rules are exact to degree 2p-1 > 2p-2.  At

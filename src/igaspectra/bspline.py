@@ -10,6 +10,7 @@ basis functions on a knot span, together with the companion recurrence
 for derivatives up to order p.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,9 @@ class KnotVector:
 
     def __post_init__(self):
         p, n = self.degree, self.n_elements
+        for name, value in (("degree", p), ("n_elements", n)):
+            if not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if p < 1:
             raise ConfigurationError(f"degree must be >= 1, got {p}")
         if n < 1:

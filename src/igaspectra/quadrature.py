@@ -1,9 +1,9 @@
 """Gauss-Legendre and Gauss-Lobatto rules and their optimal blend weights.
 
-Rules live on the reference interval [-1, 1].  An m-point Gauss-Legendre
-rule integrates polynomials up to degree 2m-1 exactly, an m-point
-Gauss-Lobatto rule up to degree 2m-3.  The blend of the two (p+1)-point
-rules
+A rule is a (nodes, weights) pair of arrays on [-1, 1], as ``leggauss``
+returns it, nodes strictly increasing.  An m-point Gauss-Legendre rule
+integrates polynomials up to degree 2m-1 exactly, an m-point Gauss-Lobatto
+rule up to degree 2m-3.  The blend of the two (p+1)-point rules
 
     Q = eta * Q_gauss + (1 - eta) * Q_lobatto
 
@@ -18,7 +18,6 @@ its derivative) from trigonometric initial guesses; only one half is
 iterated and the other half is mirrored, so rules are symmetric exactly.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +25,6 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 
 __all__ = [
-    "QuadratureRule",
-    "ElementRule",
     "gauss_legendre",
     "gauss_lobatto",
     "optimal_blending",
@@ -50,32 +47,9 @@ _OPTIMAL_ETA = {
 }
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """A quadrature rule on [-1, 1]: strictly increasing nodes, weights."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def m(self) -> int:
-        """Number of nodes."""
-        return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class ElementRule:
-    """A rule mapped onto physical elements, one row per element."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
 def _legendre_pair(n: int, x: float) -> tuple[float, float]:
     """(P_n(x), P_{n-1}(x)) by the three-term recurrence."""
     p0, p1 = 1.0, x
-    if n == 0:
-        return p0, 0.0
     for k in range(1, n):
         p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
     return p1, p0
@@ -110,16 +84,14 @@ def _mirror(pos_desc: list[float], has_zero: bool) -> np.ndarray:
     return np.concatenate([-pos[::-1], mid, pos])
 
 
-def gauss_legendre(m: int) -> QuadratureRule:
-    """m-point Gauss-Legendre rule on [-1, 1], exact to degree 2m - 1.
+def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Legendre (nodes, weights) on [-1, 1], exact to degree 2m - 1.
 
     Works at least up to m = 64; raises NumericError if the root
     iteration fails to meet its residual tolerance.
     """
     if m < 1:
         raise ConfigurationError(f"Gauss-Legendre needs m >= 1 points, got {m}")
-    if m == 1:
-        return QuadratureRule(np.array([0.0]), np.array([2.0]))
 
     def f_and_fp(x):
         pn, _ = _legendre_pair(m, x)
@@ -137,11 +109,11 @@ def gauss_legendre(m: int) -> QuadratureRule:
         dp = _legendre_deriv(m, x)
         half.append(2.0 / ((1.0 - x * x) * dp * dp))
     weights = np.concatenate([half, half[: m // 2][::-1]])
-    return QuadratureRule(nodes, np.asarray(weights))
+    return nodes, np.asarray(weights)
 
 
-def gauss_lobatto(m: int) -> QuadratureRule:
-    """m-point Gauss-Lobatto rule on [-1, 1], exact to degree 2m - 3.
+def gauss_lobatto(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Lobatto (nodes, weights) on [-1, 1], exact to degree 2m - 3.
 
     Includes both endpoints; interior nodes are the roots of P'_{m-1}.
     """
@@ -149,8 +121,6 @@ def gauss_lobatto(m: int) -> QuadratureRule:
         raise ConfigurationError(f"Gauss-Lobatto needs m >= 2 points, got {m}")
     nm1 = m - 1
     w_end = 2.0 / (m * nm1)
-    if m == 2:
-        return QuadratureRule(np.array([-1.0, 1.0]), np.array([w_end, w_end]))
 
     def f_and_fp(x):
         pn, _ = _legendre_pair(nm1, x)
@@ -172,7 +142,7 @@ def gauss_lobatto(m: int) -> QuadratureRule:
         pn, _ = _legendre_pair(nm1, x)
         half.append(2.0 / (m * nm1 * pn * pn))
     weights = np.concatenate([half, half[: m // 2][::-1]])
-    return QuadratureRule(nodes, np.asarray(weights))
+    return nodes, np.asarray(weights)
 
 
 def optimal_blending(degree: int) -> Fraction:
@@ -184,15 +154,16 @@ def optimal_blending(degree: int) -> Fraction:
     return _OPTIMAL_ETA[degree]
 
 
-def map_to_element(rule: QuadratureRule, a, b) -> ElementRule:
-    """Map a plain rule from [-1, 1] onto elements [a, b] (a < b).
+def map_to_element(rule, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Map a (nodes, weights) rule from [-1, 1] onto elements [a, b] (a < b).
 
     ``a`` and ``b`` are scalars or equal-length arrays of endpoints; for
     arrays, row e of the returned nodes and weights belongs to element e.
     """
+    nodes, weights = rule
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not np.all(b > a):
         raise ValueError(f"degenerate element [{a}, {b}]")
     mid = (0.5 * (a + b))[..., None]
     scale = (0.5 * (b - a))[..., None]
-    return ElementRule(mid + scale * rule.nodes, scale * rule.weights)
+    return mid + scale * nodes, scale * weights

@@ -26,12 +26,12 @@ def spectral_sum(axis_spectra, k: int | None = None) -> Spectrum:
 
     Parameters
     ----------
-    axis_spectra : sequence of Spectrum or 1D arrays
-        One entry per axis (2 or 3 axes).
+    axis_spectra : sequence of Spectrum
+        One per axis (2 or 3 axes).
     k : int, optional
-        Keep only the k >= 1 smallest sums, formed from the first k entries of
-        each sorted axis array; a tuple with an index >= k has k tuples at
-        or below it, so the result is bitwise the head of the full sum.
+        Keep only the k >= 1 smallest sums, formed from the first k
+        eigenvalues of each axis; a tuple with an index >= k has k tuples
+        at or below it, so the result is bitwise the head of the full sum.
 
     Returns
     -------
@@ -44,10 +44,7 @@ def spectral_sum(axis_spectra, k: int | None = None) -> Spectrum:
     """
     if k is not None and k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
-    arrays = []
-    for s in axis_spectra:
-        arr = s.eigenvalues if isinstance(s, Spectrum) else np.asarray(s, dtype=float)
-        arrays.append(arr if k is None else np.sort(arr)[:k])
+    arrays = [s.eigenvalues[:k] for s in axis_spectra]
     if not 2 <= len(arrays) <= 3:
         raise ConfigurationError(
             f"spectral_sum supports d in {{2, 3}}, got d = {len(arrays)}")

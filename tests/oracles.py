@@ -120,6 +120,7 @@ def band_pair_per_entry(space, rule, penalty):
     so it must reproduce these bytes exactly.
     """
     p, n, h, n_dof = space.degree, space.n_elements, space.h, space.n_dof
+    nodes, weights = rule
     K = np.zeros((p + 1, n_dof))
     M = np.zeros((p + 1, n_dof))
     for e in range(n):
@@ -127,7 +128,7 @@ def band_pair_per_entry(space, rule, penalty):
         mid, scale = 0.5 * (a + b), 0.5 * (b - a)
         k_loc = np.zeros((p + 1, p + 1))
         m_loc = np.zeros((p + 1, p + 1))
-        for x, w in zip(mid + scale * rule.nodes, scale * rule.weights):
+        for x, w in zip(mid + scale * nodes, scale * weights):
             ders = space.all_basis_ders(p + e, x, 1)
             m_loc += w * np.outer(ders[0], ders[0])
             k_loc += w * np.outer(ders[1], ders[1])
@@ -192,11 +193,11 @@ def blended_pair_mpmath(degree, n_elements, dps=40):
     n_dof = n + p - 2
     with mpmath.workdps(dps):
         leg = mpmath.legendre
-        gauss = _mp_rule(gauss_legendre(m).nodes, lambda x: leg(m, x),
+        gauss = _mp_rule(gauss_legendre(m)[0], lambda x: leg(m, x),
                          lambda x: 2 * (1 - x * x) / (m * leg(m - 1, x)) ** 2)
         w_end = mpmath.mpf(2) / (m * (m - 1))
         lobatto = ([(mpmath.mpf(-1), w_end)]
-                   + _mp_rule(gauss_lobatto(m).nodes[1:-1],
+                   + _mp_rule(gauss_lobatto(m)[0][1:-1],
                               lambda x: leg(m - 2, x) - x * leg(m - 1, x),
                               lambda x: w_end / leg(m - 1, x) ** 2)
                    + [(mpmath.mpf(1), w_end)])
@@ -352,13 +353,13 @@ def eigenfunction_errors_loop(spectrum, space, modes=(1,)):
     p, n_el, h = space.degree, space.n_elements, space.h
     n_dof = space.n_dof
     exact = ExactSpectrum(1)
-    rule = gauss_legendre(p + 4)
     e = np.arange(n_el)
-    elem = map_to_element(rule, e * h, (e + 1) * h)
-    vals = np.empty((n_el, rule.m, p + 1))
-    grads = np.empty((n_el, rule.m, p + 1))
-    for q in range(rule.m):
-        ders = space.all_basis_ders(space.span_of_element(e), elem.nodes[:, q], 1)
+    nodes, weights = map_to_element(gauss_legendre(p + 4), e * h, (e + 1) * h)
+    m = nodes.shape[1]
+    vals = np.empty((n_el, m, p + 1))
+    grads = np.empty((n_el, m, p + 1))
+    for q in range(m):
+        ders = space.all_basis_ders(space.span_of_element(e), nodes[:, q], 1)
         vals[:, q] = ders[:, 0]
         grads[:, q] = ders[:, 1]
 
@@ -374,18 +375,18 @@ def eigenfunction_errors_loop(spectrum, space, modes=(1,)):
         for i in range(n_el):
             coeff = U_full[i : i + p + 1]
             uh = vals[i] @ coeff
-            norm2 += np.dot(elem.weights[i], uh * uh)
-            inner += np.dot(elem.weights[i], uh * u_ex(elem.nodes[i]))
+            norm2 += np.dot(weights[i], uh * uh)
+            inner += np.dot(weights[i], uh * u_ex(nodes[i]))
         scale = (1.0 if inner >= 0 else -1.0) / math.sqrt(norm2)
 
         e_h1 = 0.0
         e_l2 = 0.0
         for i in range(n_el):
             coeff = scale * U_full[i : i + p + 1]
-            du = grads[i] @ coeff - du_ex(elem.nodes[i])
-            dv = vals[i] @ coeff - u_ex(elem.nodes[i])
-            e_h1 += np.dot(elem.weights[i], du * du)
-            e_l2 += np.dot(elem.weights[i], dv * dv)
+            du = grads[i] @ coeff - du_ex(nodes[i])
+            dv = vals[i] @ coeff - u_ex(nodes[i])
+            e_h1 += np.dot(weights[i], du * du)
+            e_l2 += np.dot(weights[i], dv * dv)
         h1[k] = math.sqrt(e_h1)
         l2[k] = math.sqrt(e_l2)
     return FunctionErrors(tuple(modes), h1, l2)

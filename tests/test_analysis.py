@@ -286,6 +286,21 @@ def test_convergence_table_refuses_bad_meshes_before_solving(monkeypatch, meshes
         convergence_table(1, 3, meshes)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: KnotVector(3, 2.5), "n_elements must be an integer, got 2.5"),
+    (lambda: KnotVector(3.0, 5), "degree must be an integer, got 3.0"),
+    (lambda: solve_1d(3, 2.5), "n_elements must be an integer, got 2.5"),
+    (lambda: convergence_table(1, 3, (2.5, 5, 10), (1,)),
+     "n_elements must be an integer, got 2.5"),
+], ids=["KnotVector", "KnotVector-degree", "solve_1d", "convergence_table"])
+def test_non_integer_mesh_or_degree_is_refused_before_solving(
+        monkeypatch, build, message):
+    monkeypatch.setattr(pipeline, "solve_generalized",
+                        lambda *a, **k: pytest.fail("solved"))
+    with pytest.raises(ConfigurationError, match=message):
+        build()
+
+
 def test_condition_report_identities():
     base = Spectrum(np.array([1.0, 4.0, 100.0]))
     same = condition_report(base, base)

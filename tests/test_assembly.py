@@ -80,8 +80,8 @@ LOBATTO_DEFECT = {1: Fraction(4, 3), 2: Fraction(4, 15), 3: Fraction(32, 525),
 @pytest.mark.parametrize("degree", range(1, 8))
 def test_lobatto_defect_is_the_rational_closed_form(degree):
     assert _lobatto_defect(degree) == LOBATTO_DEFECT[degree]
-    rule = gauss_lobatto(degree + 1)
-    defect = np.dot(rule.weights, rule.nodes ** (2 * degree)) - 2.0 / (2 * degree + 1)
+    nodes, weights = gauss_lobatto(degree + 1)
+    defect = np.dot(weights, nodes ** (2 * degree)) - 2.0 / (2 * degree + 1)
     assert defect == pytest.approx(float(LOBATTO_DEFECT[degree]), rel=1e-12)
 
 

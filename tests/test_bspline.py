@@ -116,7 +116,7 @@ def test_interior_functions_vanish_at_endpoints():
 
 
 def test_dirichlet_space_size():
-    for degree, n_elements in ((1, 2), (3, 10), (7, 4)):
+    for degree, n_elements in ((1, 2), (3, 10), (7, 4), (np.int64(3), np.int32(10))):
         space = KnotVector(degree, n_elements)
         assert space.n_dof == n_elements + degree - 2
         assert space.n_basis == n_elements + degree

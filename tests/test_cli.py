@@ -8,6 +8,8 @@ import os
 import pathlib
 import re
 import stat
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -397,3 +399,26 @@ def test_traced_names_resolve():
         for part in attr_path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{attr_path}"
+
+
+@pytest.mark.parametrize("command", [
+    "convergence --dim 1 --degree 3 --elements 5,10,20",
+    "condition --dim 3 --degree 3 --elements 10",
+    "spectrum --dim 2 --degree 3 --elements 6",
+])
+def test_traced_run_prints_the_untraced_output(tmp_path, command):
+    """The benchmark tracer runs each command and leaves its stdout unchanged."""
+    root = pathlib.Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    spans = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans), "test",
+         "--", *command.split()],
+        cwd=tmp_path, env=env, capture_output=True, timeout=300)
+    plain = subprocess.run([sys.executable, "-m", "igaspectra", *command.split()],
+                           cwd=tmp_path, env=env, capture_output=True, timeout=300)
+    assert traced.returncode == 0, traced.stderr.decode()
+    assert plain.returncode == 0, plain.stderr.decode()
+    assert traced.stdout == plain.stdout
+    names = {span[2] for span in json.loads(spans.read_text())["spans"]}
+    assert "cli.main" in names

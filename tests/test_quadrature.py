@@ -56,24 +56,36 @@ OPTIMAL_GAUSS_WEIGHT = {
 
 
 def monomial_defect(rule, k):
+    nodes, weights = rule
     exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-    return abs(float(np.dot(rule.weights, rule.nodes**k)) - exact)
+    return abs(float(np.dot(weights, nodes**k)) - exact)
 
 
 @pytest.mark.parametrize("m", sorted(GAUSS_CLOSED))
 def test_gauss_closed_forms(m):
-    rule = gauss_legendre(m)
+    got_nodes, got_weights = gauss_legendre(m)
     nodes, weights = GAUSS_CLOSED[m]
-    np.testing.assert_allclose(rule.nodes, nodes, rtol=0.0, atol=1e-14)
-    np.testing.assert_allclose(rule.weights, weights, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(got_nodes, nodes, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(got_weights, weights, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("m", sorted(LOBATTO_CLOSED))
 def test_lobatto_closed_forms(m):
-    rule = gauss_lobatto(m)
+    got_nodes, got_weights = gauss_lobatto(m)
     nodes, weights = LOBATTO_CLOSED[m]
-    np.testing.assert_allclose(rule.nodes, nodes, rtol=0.0, atol=1e-14)
-    np.testing.assert_allclose(rule.weights, weights, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(got_nodes, nodes, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(got_weights, weights, rtol=0.0, atol=1e-14)
+
+
+def test_exactly_representable_rules_are_exact():
+    # the general Newton path must return these bits, not merely close ones
+    nodes, weights = gauss_legendre(1)
+    assert np.array_equal(nodes, [0.0]) and np.array_equal(weights, [2.0])
+    nodes, weights = gauss_lobatto(2)
+    assert np.array_equal(nodes, [-1.0, 1.0])
+    assert np.array_equal(weights, [1.0, 1.0])
+    nodes, _ = gauss_lobatto(3)
+    assert np.array_equal(nodes, [-1.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("m", range(1, 17))
@@ -94,29 +106,29 @@ def test_lobatto_exact_to_degree_2m_minus_3_and_not_beyond(m):
 
 @pytest.mark.parametrize("m", (2, 5, 8, 16, 32, 64))
 def test_gauss_agrees_with_numpy(m):
-    rule = gauss_legendre(m)
+    got_nodes, got_weights = gauss_legendre(m)
     nodes, weights = np.polynomial.legendre.leggauss(m)
-    np.testing.assert_allclose(rule.nodes, nodes, rtol=0.0, atol=1e-13)
-    np.testing.assert_allclose(rule.weights, weights, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(got_nodes, nodes, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(got_weights, weights, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("m", (3, 4, 5, 8, 16, 32))
 def test_lobatto_interior_nodes_agree_with_scipy_jacobi(m):
     # interior nodes are the extrema of the degree m-1 Legendre polynomial,
     # i.e. the roots of the (m-2)-point Jacobi(1, 1) polynomial
-    rule = gauss_lobatto(m)
+    nodes, _ = gauss_lobatto(m)
     xj, _ = roots_jacobi(m - 2, 1.0, 1.0)
-    np.testing.assert_allclose(rule.nodes[1:-1], np.sort(xj), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(nodes[1:-1], np.sort(xj), rtol=0.0, atol=1e-13)
 
 
 def test_rules_are_exactly_symmetric_with_unit_mass():
     for make, start in ((gauss_legendre, 1), (gauss_lobatto, 2)):
         for m in range(start, 21):
-            rule = make(m)
-            assert np.array_equal(rule.nodes, -rule.nodes[::-1])
-            assert np.array_equal(rule.weights, rule.weights[::-1])
-            assert abs(rule.weights.sum() - 2.0) <= 1e-13
-            assert np.all(np.diff(rule.nodes) > 0)
+            nodes, weights = make(m)
+            assert np.array_equal(nodes, -nodes[::-1])
+            assert np.array_equal(weights, weights[::-1])
+            assert abs(weights.sum() - 2.0) <= 1e-13
+            assert np.all(np.diff(nodes) > 0)
 
 
 def test_optimal_blending_table():
@@ -134,9 +146,10 @@ def test_blended_rule_keeps_lobatto_exactness_only():
     # at 2m-2 only the Lobatto part (weight 1 - eta) errs, by (1 - eta) E_p
     def blended_moment(degree, k):
         eta = float(optimal_blending(degree))
-        gauss, lobatto = gauss_legendre(degree + 1), gauss_lobatto(degree + 1)
-        return (eta * np.dot(gauss.weights, gauss.nodes**k)
-                + (1.0 - eta) * np.dot(lobatto.weights, lobatto.nodes**k))
+        g_nodes, g_weights = gauss_legendre(degree + 1)
+        l_nodes, l_weights = gauss_lobatto(degree + 1)
+        return (eta * np.dot(g_weights, g_nodes**k)
+                + (1.0 - eta) * np.dot(l_weights, l_nodes**k))
 
     for degree in (2, 4):
         m = degree + 1
@@ -149,26 +162,26 @@ def test_blended_rule_keeps_lobatto_exactness_only():
 
 
 def test_map_to_element_affine():
-    elem = map_to_element(gauss_legendre(2), 0.0, 0.5)
-    np.testing.assert_allclose(elem.nodes, [0.25 - 0.25 / SQ3, 0.25 + 0.25 / SQ3],
+    nodes, weights = map_to_element(gauss_legendre(2), 0.0, 0.5)
+    np.testing.assert_allclose(nodes, [0.25 - 0.25 / SQ3, 0.25 + 0.25 / SQ3],
                                rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(elem.weights, [0.25, 0.25], rtol=0.0, atol=1e-16)
+    np.testing.assert_allclose(weights, [0.25, 0.25], rtol=0.0, atol=1e-16)
 
-    ident = map_to_element(gauss_lobatto(4), -1.0, 1.0)
-    np.testing.assert_allclose(ident.nodes, gauss_lobatto(4).nodes, atol=1e-15)
+    ident, _ = map_to_element(gauss_lobatto(4), -1.0, 1.0)
+    np.testing.assert_allclose(ident, gauss_lobatto(4)[0], atol=1e-15)
 
-    elem = map_to_element(gauss_lobatto(3), 0.2, 0.4)
-    assert elem.weights.sum() == pytest.approx(0.2, abs=1e-15)
-    assert np.all((elem.nodes >= 0.2) & (elem.nodes <= 0.4))
+    nodes, weights = map_to_element(gauss_lobatto(3), 0.2, 0.4)
+    assert weights.sum() == pytest.approx(0.2, abs=1e-15)
+    assert np.all((nodes >= 0.2) & (nodes <= 0.4))
 
     # arrays of endpoints: row e is element e, bitwise as mapped alone
     a, b = np.array([0.0, 0.2, 0.5]), np.array([0.2, 0.5, 0.9])
-    rows = map_to_element(gauss_legendre(3), a, b)
-    assert rows.nodes.shape == rows.weights.shape == (3, 3)
+    row_nodes, row_weights = map_to_element(gauss_legendre(3), a, b)
+    assert row_nodes.shape == row_weights.shape == (3, 3)
     for e in range(3):
-        one = map_to_element(gauss_legendre(3), float(a[e]), float(b[e]))
-        assert np.array_equal(rows.nodes[e], one.nodes)
-        assert np.array_equal(rows.weights[e], one.weights)
+        nodes, weights = map_to_element(gauss_legendre(3), float(a[e]), float(b[e]))
+        assert np.array_equal(row_nodes[e], nodes)
+        assert np.array_equal(row_weights[e], weights)
 
 
 def test_map_to_element_rejects_degenerate_interval():

@@ -65,19 +65,19 @@ def test_materialize_scalar_factors():
 def test_spectral_sum_enumerates_all_pair_sums():
     a = np.array([1.0, 3.0, 7.0])
     b = np.array([2.0, 5.0])
-    spec = spectral_sum([a, b])
+    spec = spectral_sum([Spectrum(a), Spectrum(b)])
     want = sorted(x + y for x in a for y in b)
     assert np.array_equal(spec.eigenvalues, np.array(want))
 
     c = np.array([0.25, 4.0])
-    spec3 = spectral_sum([a, b, c])
+    spec3 = spectral_sum([Spectrum(a), Spectrum(b), Spectrum(c)])
     want3 = sorted((x + y) + z for x in a for y in b for z in c)
     assert len(spec3.eigenvalues) == len(a) * len(b) * len(c)
     assert np.array_equal(spec3.eigenvalues, np.array(want3))
 
 
 def test_spectral_sum_keeps_multiplicities():
-    spec = spectral_sum([np.array([1.0, 2.0]), np.array([1.0, 2.0])])
+    spec = spectral_sum([Spectrum(np.array([1.0, 2.0]))] * 2)
     assert np.array_equal(spec.eigenvalues, [2.0, 3.0, 3.0, 4.0])
 
 
@@ -107,17 +107,18 @@ def test_spectral_sum_agrees_with_dense_solve_of_materialized_pair(
 def test_spectral_sum_invariants(axes, k):
     # eighths: every sum is exact, ties are frequent
     arrays = [np.array(a) / 8.0 for a in axes]
-    full = spectral_sum(arrays).eigenvalues
+    spectra = [Spectrum(np.sort(a)) for a in arrays]
+    full = spectral_sum(spectra).eigenvalues
     assert len(full) == np.prod([len(a) for a in arrays])
     assert np.all(np.diff(full) >= 0)
     assert full[0] == sum(a.min() for a in arrays)
     assert full[-1] == sum(a.max() for a in arrays)
-    assert np.array_equal(spectral_sum(arrays, k=k).eigenvalues, full[:k])
+    assert np.array_equal(spectral_sum(spectra, k=k).eigenvalues, full[:k])
 
 
 @pytest.mark.parametrize("k", (0, -1))
 def test_k_below_one_is_refused(k):
-    axis = np.arange(1.0, 9.0)
+    axis = Spectrum(np.arange(1.0, 9.0))
     with pytest.raises(ConfigurationError, match="k must be >= 1"):
         spectral_sum([axis, axis], k=k)
     for dim in (1, 2, 3):
@@ -126,7 +127,7 @@ def test_k_below_one_is_refused(k):
 
 
 def test_spectral_sum_refuses_before_allocating():
-    axis = np.arange(1.0, 10_001.0)
+    axis = Spectrum(np.arange(1.0, 10_001.0))
     tracemalloc.start()
     try:
         with pytest.raises(ResourceError, match="GiB for 1000000000000 sums"):
@@ -170,7 +171,7 @@ def test_dimension_validation():
     with pytest.raises(ConfigurationError):
         TensorSystem((pair, pair, pair, pair))
     with pytest.raises(ConfigurationError):
-        spectral_sum([np.array([1.0, 2.0])])
+        spectral_sum([Spectrum(np.array([1.0, 2.0]))])
 
 
 def test_sizes_reports_per_axis_dof():
