@@ -18,6 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bspline import KnotVector
 from .eigsolve import Spectrum
+from .errors import ConfigurationError
 from .quadrature import gauss_legendre, map_to_element
 
 __all__ = [
@@ -48,12 +49,12 @@ class ExactSpectrum:
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+            raise ConfigurationError(f"dim must be 1, 2 or 3, got {self.dim}")
 
     def eigenvalues(self, count: int) -> np.ndarray:
         """The ``count`` smallest exact eigenvalues, ascending."""
         if count < 1:
-            raise ValueError("count must be >= 1")
+            raise ConfigurationError("count must be >= 1")
         d = self.dim
         # enumerate index boxes, from the d-th root of `count` up by
         # 1.25 per step, until the box provably holds the `count`

@@ -9,12 +9,12 @@ Three subcommands:
                    blended + penalty pencil
 
 ``build_parser`` declares every flag, its default and its allowed values
-once; the runners read the parsed namespace, which JSON echoes as
-``config`` without ``out``.  Results go to stdout or, with ``--out``, to
-a file written atomically (temporary file in the target directory,
-renamed on success).  CSV uses one header line and 17 significant
-digits; JSON mirrors the same data.  Exit codes: 0 success, 2
-configuration error (``configuration error: <message>`` on stderr,
+once, and gives each command only the flags its runner reads; JSON echoes
+the parsed namespace as ``config`` without ``out``.  Results go to stdout
+or, with ``--out``, to a file written atomically (temporary file in the
+target directory, renamed on success).  CSV uses one header line and 17
+significant digits; JSON mirrors the same data.  Exit codes: 0 success,
+2 configuration error (``configuration error: <message>`` on stderr,
 nothing on stdout, whether argparse or the library refused), 3
 numerical failure.
 """
@@ -123,36 +123,39 @@ def _one_mesh(text: str) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    shared = _Parser(add_help=False)
+    shared.add_argument("--dim", type=int, choices=(1, 2, 3), default=1,
+                        help="space dimension")
+    shared.add_argument("--degree", type=int, choices=range(1, 8), default=3,
+                        help="spline degree")
+    shared.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="output format")
+    shared.add_argument("--out", default=None, help="output path (default: stdout)")
+    scheme = _Parser(add_help=False)
+    scheme.add_argument("--quadrature", choices=("gauss", "blended"), default="blended",
+                        help="full Gauss or dispersion-optimal blended rule")
+    scheme.add_argument("--penalty", choices=("on", "off"), default="on",
+                        help="boundary penalty")
     parser = _Parser(
         prog="igaspectra",
         description="Spectral approximation of the Dirichlet Laplacian on unit "
                     "boxes with smooth B-splines, blended quadrature and a "
                     "boundary penalty.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, mesh, mesh_help in (
-        ("spectrum", "full discrete spectrum on one mesh",
+    for name, help_text, parents, mesh, mesh_help in (
+        ("spectrum", "full discrete spectrum on one mesh", [shared, scheme],
          _one_mesh, "elements per axis"),
-        ("convergence", "errors and rates over a mesh sequence", _positive_ints,
+        ("convergence", "errors and rates over a mesh sequence", [shared, scheme],
+         _positive_ints,
          "elements per axis of each mesh, comma separated, at least 3, increasing"),
-        ("condition", "condition numbers, baseline vs blended + penalty",
+        ("condition", "condition numbers, baseline vs blended + penalty", [shared],
          _one_mesh, "elements per axis"),
     ):
-        s = sub.add_parser(name, help=help_text)
-        s.add_argument("--dim", type=int, choices=(1, 2, 3), default=1,
-                       help="space dimension")
-        s.add_argument("--degree", type=int, choices=range(1, 8), default=3,
-                       help="spline degree")
+        s = sub.add_parser(name, help=help_text, parents=parents)
         # a string default goes through the type, so it is checked like input
         s.add_argument("--elements", type=mesh, default="10", help=mesh_help)
-        s.add_argument("--quadrature", choices=("gauss", "blended"), default="blended",
-                       help="full Gauss or dispersion-optimal blended rule")
-        s.add_argument("--penalty", choices=("on", "off"), default="on",
-                       help="boundary penalty")
-        s.add_argument("--modes", type=_positive_ints, default="1,6",
-                       help="mode ranks tracked by convergence runs, comma separated")
-        s.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output format")
-        s.add_argument("--out", default=None, help="output path (default: stdout)")
+    sub.choices["convergence"].add_argument("--modes", type=_positive_ints, default="1,6",
+                                            help="mode ranks tracked, comma separated")
     return parser
 
 

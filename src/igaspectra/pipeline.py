@@ -6,6 +6,8 @@ Multi-dimensional spectra always go through the separable path: solve
 the 1D pencil once per axis, then combine eigenvalues by summation.
 """
 
+import numbers
+
 import numpy as np
 
 from .analysis import (ExactSpectrum, condition_report, convergence_rates,
@@ -104,15 +106,20 @@ def convergence_table(dim: int, degree: int, meshes, modes=(1, 6),
     and a rate dict per tracked quantity fitted with the standard floor
     rule (None where the data sits at machine precision).  Refuses,
     before solving, meshes that are not at least 3 strictly increasing
-    entries and modes that are empty or below 1.
+    integers and modes that are empty, not integers or below 1.
     """
     meshes, modes = tuple(meshes), tuple(modes)
+    for n in meshes:
+        if not isinstance(n, numbers.Integral):
+            raise ConfigurationError(f"n_elements must be an integer, got {n!r}")
     if len(meshes) < 3 or any(a >= b for a, b in zip(meshes, meshes[1:])):
         raise ConfigurationError(
             f"convergence needs at least 3 strictly increasing meshes, got {list(meshes)}")
     if not modes:
         raise ConfigurationError("convergence needs at least one --modes entry")
     for m in modes:
+        if not isinstance(m, numbers.Integral):
+            raise ConfigurationError(f"--modes entries must be integers, got {m!r}")
         if m < 1:
             raise ConfigurationError(f"--modes entries must be >= 1, got {m}")
     rows = []

@@ -68,9 +68,9 @@ def test_exact_spectrum_3d_box_stays_small():
 
 
 def test_exact_spectrum_validates_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="dim must be 1, 2 or 3, got 4"):
         ExactSpectrum(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="count must be >= 1"):
         ExactSpectrum(1).eigenvalues(0)
 
 
@@ -272,17 +272,18 @@ def test_nd_mode_beyond_resolution_is_refused():
         convergence_table(2, 2, (1, 2, 3), (3,))
 
 
-@pytest.mark.parametrize("modes", [(0, 1), (1, -2), ()])
+@pytest.mark.parametrize("modes", [(0, 1), (1, -2), (), (1.5,)])
 def test_convergence_table_refuses_bad_modes_before_solving(monkeypatch, modes):
     monkeypatch.setattr(pipeline, "solve_nd", lambda *a, **k: pytest.fail("solved"))
     with pytest.raises(ConfigurationError, match="--modes entr"):
         convergence_table(2, 3, (3, 6, 12), modes=modes)
 
 
-@pytest.mark.parametrize("meshes", [(), (5, 10), (20, 10, 5), (5, 5, 10)])
+@pytest.mark.parametrize("meshes", [(), (5, 10), (20, 10, 5), (5, 5, 10), (5, 10, 20.5)])
 def test_convergence_table_refuses_bad_meshes_before_solving(monkeypatch, meshes):
     monkeypatch.setattr(pipeline, "solve_nd", lambda *a, **k: pytest.fail("solved"))
-    with pytest.raises(ConfigurationError, match="at least 3 strictly increasing"):
+    with pytest.raises(ConfigurationError,
+                       match="at least 3 strictly increasing|must be an integer, got 20.5"):
         convergence_table(1, 3, meshes)
 
 

@@ -137,10 +137,16 @@ def test_identical_runs_produce_identical_bytes(tmp_path):
 def _reference_text(argv):
     """CLI text from row dicts built one mode at a time, rendered field by field."""
     args = build_parser().parse_args(argv)
-    pen, rates = args.penalty == "on", None
+    config = {"command": args.command, "dim": args.dim, "degree": args.degree,
+              "elements": list(args.elements), "format": args.format}
+    if args.command != "condition":  # condition fixes both schemes itself
+        config.update(quadrature=args.quadrature, penalty=args.penalty)
+    if args.command == "convergence":
+        config["modes"] = list(args.modes)
+    rates = None
     if args.command == "spectrum":
         spec = pipeline.solve_nd(args.dim, args.degree, args.elements[0],
-                                 args.quadrature, pen)
+                                 args.quadrature, args.penalty == "on")
         rep = eigenvalue_errors(spec, ExactSpectrum(args.dim))
         rows = [{"rank": int(rep.ranks[i]),
                  "rank_fraction": float(rep.rank_fraction[i]),
@@ -150,7 +156,8 @@ def _reference_text(argv):
                 for i in range(len(rep.ranks))]
     elif args.command == "convergence":
         rows, fitted = pipeline.convergence_table(
-            args.dim, args.degree, args.elements, args.modes, args.quadrature, pen)
+            args.dim, args.degree, args.elements, args.modes, args.quadrature,
+            args.penalty == "on")
         rates = {k: ("saturated" if v is None else v) for k, v in fitted.items()}
     else:
         rep = pipeline.condition_summary(args.dim, args.degree, args.elements[0])
@@ -161,10 +168,6 @@ def _reference_text(argv):
                  "gamma_treated": rep.gamma_treated,
                  "rho": rep.rho,
                  "reduction_percent": rep.reduction_percent}]
-    config = {"command": args.command, "dim": args.dim, "degree": args.degree,
-              "elements": list(args.elements), "quadrature": args.quadrature,
-              "penalty": args.penalty, "modes": list(args.modes),
-              "format": args.format}
     return render_rows_reference(rows, args.format, rates, config)
 
 
@@ -234,7 +237,7 @@ def test_output_file_is_replaced_atomically(tmp_path, monkeypatch):
     ["spectrum", "--elements", "5,10"],
     ["condition", "--elements", "4,8"],
     ["spectrum", "--elements", "0"],
-    ["spectrum", "--modes", "0"],
+    ["convergence", "--elements", "5,10,20", "--modes", "0"],
     ["convergence", "--elements", "5,10,20", "--modes", ""],
     ["spectrum", "--quadrature", "exotic"],
     ["spectrum", "--penalty", "maybe"],
@@ -320,7 +323,7 @@ INVALID_COMMAND_LINES = [
     pytest.param(["spectrum", "--quadrature", "exotic"], id="quadrature"),
     pytest.param(["spectrum", "--penalty", "maybe"], id="penalty"),
     pytest.param(["convergence", "--elements", "4,8,16", "--modes", ""], id="no-modes"),
-    pytest.param(["spectrum", "--modes", "0"], id="mode-rank"),
+    pytest.param(["convergence", "--elements", "4,8,16", "--modes", "0"], id="mode-rank"),
     pytest.param(["spectrum", "--format", "yaml"], id="format"),
     pytest.param(["convergence", "--elements", "4,8,x"], id="non-integer-list"),
     pytest.param(["spectrum", "--bogus", "1"], id="unknown-flag"),
@@ -336,6 +339,35 @@ def test_experiment_config_validation_is_exhaustive(argv, capsys, tmp_path):
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+SHARED_FLAGS = {"--dim", "--degree", "--elements", "--format", "--out"}
+COMMAND_FLAGS = {"spectrum": SHARED_FLAGS | {"--quadrature", "--penalty"},
+                 "convergence": SHARED_FLAGS | {"--quadrature", "--penalty", "--modes"},
+                 "condition": SHARED_FLAGS}
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--modes", "1"],
+    ["condition", "--quadrature", "gauss"],
+    ["condition", "--penalty", "off"],
+    ["condition", "--modes", "1"],
+])
+def test_flags_a_command_does_not_read_are_refused(argv, capsys, tmp_path):
+    out = tmp_path / "never.csv"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"configuration error: unrecognized arguments: {' '.join(argv[1:])}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_help_lists_exactly_the_command_flags(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    assert flags == COMMAND_FLAGS[command] | {"--help"}
 
 
 def _ints(lo, hi, min_size, max_size):
@@ -372,8 +404,12 @@ def test_random_command_lines_exit_0_2_or_3(command, dim, degree, elements,
                                              quadrature, penalty, modes, fmt,
                                              to_file, extra):
     argv = [command, "--dim", str(dim), "--degree", str(degree),
-            "--elements", elements, "--quadrature", quadrature,
-            "--penalty", penalty, "--modes", modes, "--format", fmt] + extra
+            "--elements", elements, "--format", fmt]
+    if "--quadrature" in COMMAND_FLAGS[command]:
+        argv += ["--quadrature", quadrature, "--penalty", penalty]
+    if "--modes" in COMMAND_FLAGS[command]:
+        argv += ["--modes", modes]
+    argv += extra
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "out.txt"
         stdout, stderr = io.StringIO(), io.StringIO()
