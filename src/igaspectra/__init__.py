@@ -11,36 +11,23 @@ with the fully integrated Galerkin baseline this combination
 
 See the ``demos/`` scripts for guided tours and the ``igaspectra``
 command line tool for scripted experiments.
+
+Each module lists its public names once, in its own ``__all__``; the
+package exports the union of those lists and ``__version__``.
 """
 
-from .analysis import (ConditionReport, ErrorReport, ExactSpectrum,
-                       FunctionErrors, OutlierMetric, condition_report,
-                       convergence_rates, eigenfunction_errors,
-                       eigenvalue_errors, outlier_metric)
-from .assembly import SymBandMatrix, assemble_1d, assemble_1d_reference_gauss
-from .bspline import KnotVector, boundary_derivatives, eval_basis
-from .eigsolve import Spectrum, solve_generalized
-from .errors import (ConfigurationError, DefinitenessError, NumericError,
-                     ResourceError)
-from .pipeline import (build_1d, condition_summary, convergence_table,
-                       solve_1d, solve_nd, spectrum_rows)
-from .quadrature import (gauss_legendre, gauss_lobatto, map_to_element,
-                         optimal_blending)
-from .tensor import spectral_sum
+from . import analysis, assembly, bspline, eigsolve, errors, pipeline, quadrature, tensor
+from .analysis import *
+from .assembly import *
+from .bspline import *
+from .eigsolve import *
+from .errors import *
+from .pipeline import *
+from .quadrature import *
+from .tensor import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "KnotVector", "eval_basis", "boundary_derivatives",
-    "gauss_legendre", "gauss_lobatto", "optimal_blending", "map_to_element",
-    "SymBandMatrix", "assemble_1d", "assemble_1d_reference_gauss",
-    "spectral_sum",
-    "Spectrum", "solve_generalized",
-    "ExactSpectrum", "ErrorReport", "FunctionErrors", "ConditionReport",
-    "OutlierMetric", "eigenvalue_errors", "eigenfunction_errors",
-    "convergence_rates", "condition_report", "outlier_metric",
-    "build_1d", "solve_1d", "solve_nd", "spectrum_rows", "convergence_table",
-    "condition_summary",
-    "ConfigurationError", "NumericError", "DefinitenessError", "ResourceError",
-    "__version__",
-]
+__all__ = [name for module in (analysis, assembly, bspline, eigsolve, errors,
+                               pipeline, quadrature, tensor)
+           for name in module.__all__] + ["__version__"]

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bspline import KnotVector
 from .eigsolve import Spectrum
-from .errors import ConfigurationError
+from .errors import check_int
 from .quadrature import gauss_legendre, map_to_element
 
 __all__ = [
@@ -48,13 +48,11 @@ class ExactSpectrum:
     dim: int
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ConfigurationError(f"dim must be 1, 2 or 3, got {self.dim}")
+        check_int("dim", self.dim, 1, 3)
 
     def eigenvalues(self, count: int) -> np.ndarray:
         """The ``count`` smallest exact eigenvalues, ascending."""
-        if count < 1:
-            raise ConfigurationError("count must be >= 1")
+        check_int("count", count, 1)
         d = self.dim
         # enumerate index boxes, from the d-th root of `count` up by
         # 1.25 per step, until the box provably holds the `count`
@@ -157,6 +155,8 @@ def eigenfunction_errors(spectrum: Spectrum, space: KnotVector,
     n_dof = space.n_dof
     if spectrum.eigenvectors.shape[0] != n_dof:
         raise ValueError("eigenvector length does not match the space")
+    for mode in modes:
+        check_int("mode", mode, 1, spectrum.n)
     exact = ExactSpectrum(1)
 
     # basis values/gradients, (element, node, function), one node at a time
@@ -173,8 +173,6 @@ def eigenfunction_errors(spectrum: Spectrum, space: KnotVector,
     h1 = np.empty(len(modes))
     l2 = np.empty(len(modes))
     for k, mode in enumerate(modes):
-        if not 1 <= mode <= spectrum.n:
-            raise IndexError(f"mode {mode} out of range 1..{spectrum.n}")
         U_full = np.zeros(n_dof + 2)
         U_full[1:-1] = spectrum.eigenvectors[:, mode - 1]
         # coeff[i] holds the p + 1 coefficients active on element i

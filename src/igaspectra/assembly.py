@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bspline import KnotVector, boundary_derivatives
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_int
 from .quadrature import gauss_legendre, map_to_element
 
 __all__ = [
@@ -48,8 +48,8 @@ class SymBandMatrix:
     """
 
     def __init__(self, n: int, bandwidth: int, data: np.ndarray | None = None):
-        if n < 1 or bandwidth < 0:
-            raise ConfigurationError(f"invalid band shape n={n}, bandwidth={bandwidth}")
+        check_int("n", n, 1)
+        check_int("bandwidth", bandwidth, 0)
         self.n = n
         self.bandwidth = bandwidth
         if data is None:

@@ -10,12 +10,11 @@ basis functions on a knot span, together with the companion recurrence
 for derivatives up to order p.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import check_int
 
 __all__ = [
     "KnotVector",
@@ -47,13 +46,8 @@ class KnotVector:
 
     def __post_init__(self):
         p, n = self.degree, self.n_elements
-        for name, value in (("degree", p), ("n_elements", n)):
-            if not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if p < 1:
-            raise ConfigurationError(f"degree must be >= 1, got {p}")
-        if n < 1:
-            raise ConfigurationError(f"n_elements must be >= 1, got {n}")
+        check_int("degree", p, 1)
+        check_int("n_elements", n, 1)
         breaks = np.linspace(0.0, 1.0, n + 1)
         knots = np.concatenate([np.zeros(p), breaks, np.ones(p)])
         object.__setattr__(self, "knots", knots)
@@ -171,11 +165,10 @@ def eval_basis(space: KnotVector, x: float, r: int = 0):
     Raises
     ------
     ValueError
-        If x lies outside [0, 1] or r exceeds the degree.
+        If x lies outside [0, 1] or r is not an integer in 0..degree.
     """
     p = space.degree
-    if r < 0 or r > p:
-        raise ValueError(f"derivative order r = {r} not supported for degree {p}")
+    check_int("r", r, 0, p)
     span = space.find_span(x)
     ders = space.all_basis_ders(span, x, r)
     return [(span - p + j, ders[r, j]) for j in range(p + 1)]
@@ -191,8 +184,7 @@ def boundary_derivatives(space: KnotVector, r: int) -> tuple[np.ndarray, np.ndar
     boundary function.
     """
     p = space.degree
-    if r < 0 or r > p:
-        raise ValueError(f"derivative order r = {r} not supported for degree {p}")
+    check_int("r", r, 0, p)
     # full-basis rows of the first and last element; the interior basis drops the ends
     at0 = np.zeros(space.n_basis)
     at1 = np.zeros(space.n_basis)

@@ -1,10 +1,15 @@
-"""Exception types shared across the package, and the memory guard.
+"""Exception types shared across the package, and the two input guards.
 
 The command line front end maps these onto exit codes: configuration
-problems exit with 2, numerical failures with 3.
+problems exit with 2, numerical failures with 3.  ``check_int`` is the
+one rule for integer arguments and ``check_memory`` the one for sizes;
+the package exports the exceptions, not the guards.
 """
 
+import numbers
 import os
+
+__all__ = ["ConfigurationError", "NumericError", "DefinitenessError", "ResourceError"]
 
 
 class ConfigurationError(ValueError):
@@ -45,3 +50,19 @@ def check_memory(need: float, task: str, subject: str) -> None:
     if need > memory:
         raise ResourceError(f"{task} would need {need / 2**30:.3g} GiB for "
                             f"{subject}, more than the physical memory")
+
+
+def check_int(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ConfigurationError unless ``value`` is an integer in low..high.
+
+    numpy integers are accepted, a bool or a float is not.  The message
+    reads "<name> must be an integer, got <value!r>", "<name> must be
+    >= <low>, got <value>" or, with ``high``, "<name> must be in
+    <low>..<high>, got <value>".
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if high is None and value < low:
+        raise ConfigurationError(f"{name} must be >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ConfigurationError(f"{name} must be in {low}..{high}, got {value}")

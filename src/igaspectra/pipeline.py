@@ -6,8 +6,6 @@ Multi-dimensional spectra always go through the separable path: solve
 the 1D pencil once per axis, then combine eigenvalues by summation.
 """
 
-import numbers
-
 import numpy as np
 
 from .analysis import (ExactSpectrum, condition_report, convergence_rates,
@@ -15,7 +13,7 @@ from .analysis import (ExactSpectrum, condition_report, convergence_rates,
 from .assembly import assemble_1d, assemble_1d_reference_gauss
 from .bspline import KnotVector
 from .eigsolve import Spectrum, _check_dense_fits, solve_generalized
-from .errors import ConfigurationError, check_memory
+from .errors import ConfigurationError, check_int, check_memory
 from .quadrature import optimal_blending
 from .tensor import spectral_sum
 
@@ -72,10 +70,9 @@ def solve_nd(dim: int, degree: int, n_elements: int, quadrature: str = "blended"
 
     With ``k``, a 2D/3D spectrum holds only its k smallest sums.
     """
-    if dim not in (1, 2, 3):
-        raise ConfigurationError(f"dim must be 1, 2 or 3, got {dim}")
-    if k is not None and k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
+    check_int("dim", dim, 1, 3)
+    if k is not None:
+        check_int("k", k, 1)
     axis = solve_1d(degree, n_elements, quadrature, penalty,
                     want_vectors=(dim == 1))
     if dim == 1:
@@ -106,22 +103,18 @@ def convergence_table(dim: int, degree: int, meshes, modes=(1, 6),
     and a rate dict per tracked quantity fitted with the standard floor
     rule (None where the data sits at machine precision).  Refuses,
     before solving, meshes that are not at least 3 strictly increasing
-    integers and modes that are empty, not integers or below 1.
+    integers >= 1 and modes that are empty, not integers or below 1.
     """
     meshes, modes = tuple(meshes), tuple(modes)
     for n in meshes:
-        if not isinstance(n, numbers.Integral):
-            raise ConfigurationError(f"n_elements must be an integer, got {n!r}")
+        check_int("n_elements", n, 1)
     if len(meshes) < 3 or any(a >= b for a, b in zip(meshes, meshes[1:])):
         raise ConfigurationError(
             f"convergence needs at least 3 strictly increasing meshes, got {list(meshes)}")
     if not modes:
         raise ConfigurationError("convergence needs at least one --modes entry")
     for m in modes:
-        if not isinstance(m, numbers.Integral):
-            raise ConfigurationError(f"--modes entries must be integers, got {m!r}")
-        if m < 1:
-            raise ConfigurationError(f"--modes entries must be >= 1, got {m}")
+        check_int("--modes entries", m, 1)
     rows = []
     for n in meshes:
         # only the modes up to max(modes) are read
@@ -152,9 +145,9 @@ def condition_summary(dim: int, degree: int, n_elements: int):
     The extremes of a Kronecker sum of d equal pencils are d times the
     1D extremes, so only the 1D eigenvalues are computed.
     """
-    if dim not in (1, 2, 3):
-        raise ConfigurationError(f"dim must be 1, 2 or 3, got {dim}")
-    base = solve_1d(degree, n_elements, "gauss", penalty=False, want_vectors=False)
+    check_int("dim", dim, 1, 3)
+    # the treated pencil first: build_1d refuses an untabulated degree before any solve
     treat = solve_1d(degree, n_elements, "blended", penalty=True, want_vectors=False)
+    base = solve_1d(degree, n_elements, "gauss", penalty=False, want_vectors=False)
     return condition_report(Spectrum(dim * base.eigenvalues[[0, -1]]),
                             Spectrum(dim * treat.eigenvalues[[0, -1]]))

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import NumericError, check_int
 
 __all__ = [
     "gauss_legendre",
@@ -90,8 +90,7 @@ def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     Works at least up to m = 64; raises NumericError if the root
     iteration fails to meet its residual tolerance.
     """
-    if m < 1:
-        raise ConfigurationError(f"Gauss-Legendre needs m >= 1 points, got {m}")
+    check_int("m", m, 1)
 
     def f_and_fp(x):
         pn, _ = _legendre_pair(m, x)
@@ -117,8 +116,7 @@ def gauss_lobatto(m: int) -> tuple[np.ndarray, np.ndarray]:
 
     Includes both endpoints; interior nodes are the roots of P'_{m-1}.
     """
-    if m < 2:
-        raise ConfigurationError(f"Gauss-Lobatto needs m >= 2 points, got {m}")
+    check_int("m", m, 2)
     nm1 = m - 1
     w_end = 2.0 / (m * nm1)
 
@@ -147,10 +145,7 @@ def gauss_lobatto(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def optimal_blending(degree: int) -> Fraction:
     """Exact dispersion-optimal Gauss weight eta for a given degree (1..7)."""
-    if degree not in _OPTIMAL_ETA:
-        raise ConfigurationError(
-            f"no optimal blending tabulated for degree {degree} (supported: 1..7)"
-        )
+    check_int("degree", degree, 1, 7)
     return _OPTIMAL_ETA[degree]
 
 

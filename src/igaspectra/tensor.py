@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .eigsolve import Spectrum
-from .errors import ConfigurationError, check_memory
+from .errors import ConfigurationError, check_int, check_memory
 
 __all__ = ["spectral_sum"]
 
@@ -42,8 +42,8 @@ def spectral_sum(axis_spectra, k: int | None = None) -> Spectrum:
     Raises ResourceError, before allocating, when the sums and their
     sorted copy would not fit in physical memory.
     """
-    if k is not None and k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
+    if k is not None:
+        check_int("k", k, 1)
     arrays = [s.eigenvalues[:k] for s in axis_spectra]
     if not 2 <= len(arrays) <= 3:
         raise ConfigurationError(

@@ -68,7 +68,7 @@ def test_exact_spectrum_3d_box_stays_small():
 
 
 def test_exact_spectrum_validates_input():
-    with pytest.raises(ConfigurationError, match="dim must be 1, 2 or 3, got 4"):
+    with pytest.raises(ConfigurationError, match=r"dim must be in 1\.\.3, got 4"):
         ExactSpectrum(4)
     with pytest.raises(ConfigurationError, match="count must be >= 1"):
         ExactSpectrum(1).eigenvalues(0)
@@ -181,7 +181,7 @@ def test_eigenfunction_errors_require_vectors_and_valid_modes():
     with pytest.raises(ValueError):
         eigenfunction_errors(spec, space, (1,))
     spec = solve_1d(2, 6)
-    with pytest.raises(IndexError):
+    with pytest.raises(ConfigurationError):
         eigenfunction_errors(spec, space, (7,))  # only 6 modes exist
 
 

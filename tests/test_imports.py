@@ -1,5 +1,6 @@
-"""No package module imports a name it never references, and no
-module-level private name goes unreferenced by the whole package.
+"""No package module imports a name it never references, no
+module-level private name goes unreferenced by the whole package, and
+the package exports a fixed set of names, each once.
 
 ``__init__.py`` is left out of the import check: its imports are the
 public exports.
@@ -9,6 +10,8 @@ import ast
 import pathlib
 
 import pytest
+
+import igaspectra
 
 SRC = pathlib.Path(__file__).parents[1] / "src" / "igaspectra"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -71,3 +74,26 @@ def test_dead_private_name_check_sees_leftovers():
 
 def test_no_module_level_private_name_is_dead():
     assert _dead_private_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+# the input guards errors.check_int and errors.check_memory are not exported
+EXPORTS = {
+    "KnotVector", "eval_basis", "boundary_derivatives",
+    "gauss_legendre", "gauss_lobatto", "optimal_blending", "map_to_element",
+    "SymBandMatrix", "assemble_1d", "assemble_1d_reference_gauss",
+    "spectral_sum", "Spectrum", "solve_generalized",
+    "ExactSpectrum", "ErrorReport", "FunctionErrors", "ConditionReport",
+    "OutlierMetric", "eigenvalue_errors", "eigenfunction_errors",
+    "convergence_rates", "condition_report", "outlier_metric",
+    "build_1d", "solve_1d", "solve_nd", "spectrum_rows", "convergence_table",
+    "condition_summary",
+    "ConfigurationError", "NumericError", "DefinitenessError", "ResourceError",
+    "__version__",
+}
+
+
+def test_package_exports_each_public_name_once():
+    names = igaspectra.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == EXPORTS
+    assert [name for name in names if not hasattr(igaspectra, name)] == []

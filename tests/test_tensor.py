@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import igaspectra
+from igaspectra import pipeline
 from igaspectra import (ConfigurationError, ResourceError, Spectrum,
                         build_1d, condition_report, condition_summary,
                         solve_1d, solve_nd, spectral_sum)
@@ -150,6 +151,14 @@ def _condition_from_full_sums(dim, degree, n_elements):
 def test_condition_summary_matches_full_sum_route(dim, degree, n_elements):
     assert condition_summary(dim, degree, n_elements) == \
         _condition_from_full_sums(dim, degree, n_elements)
+
+
+def test_condition_summary_refuses_untabulated_degree_before_solving(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pipeline, "solve_generalized", lambda *a, **k: calls.append(a))
+    with pytest.raises(ConfigurationError, match=r"degree must be in 1\.\.7, got 8"):
+        condition_summary(1, 8, 20)
+    assert calls == []
 
 
 def test_materialize_refuses_oversized_systems():
