@@ -16,7 +16,7 @@ Each module lists its public names once, in its own ``__all__``; the
 package exports the union of those lists and ``__version__``.
 """
 
-from . import analysis, assembly, bspline, eigsolve, errors, pipeline, quadrature, tensor
+from . import analysis, assembly, bspline, eigsolve, errors, pipeline, quadrature
 from .analysis import *
 from .assembly import *
 from .bspline import *
@@ -24,10 +24,9 @@ from .eigsolve import *
 from .errors import *
 from .pipeline import *
 from .quadrature import *
-from .tensor import *
 
 __version__ = "0.1.0"
 
 __all__ = [name for module in (analysis, assembly, bspline, eigsolve, errors,
-                               pipeline, quadrature, tensor)
+                               pipeline, quadrature)
            for name in module.__all__] + ["__version__"]

@@ -166,7 +166,7 @@ def eigenfunction_errors(spectrum: Spectrum, space: KnotVector,
     vals = np.empty((n_el, m, p + 1))
     grads = np.empty((n_el, m, p + 1))
     for q in range(m):
-        ders = space.all_basis_ders(space.span_of_element(e), nodes[:, q], 1)
+        ders = space.all_basis_ders(p + e, nodes[:, q], 1)
         vals[:, q] = ders[:, 0]
         grads[:, q] = ders[:, 1]
 

@@ -67,21 +67,6 @@ class KnotVector:
         """Number of interior (Dirichlet) degrees of freedom."""
         return self.n_basis - 2
 
-    def find_span(self, x: float) -> int:
-        """Knot-span index mu with knots[mu] <= x < knots[mu+1].
-
-        x = 1 is treated as belonging to the last element (closed on
-        the right), so evaluation at the right endpoint is well defined.
-        """
-        if not (0.0 <= x <= 1.0):
-            raise ValueError(f"x = {x} outside the domain [0, 1]")
-        e = min(int(x * self.n_elements), self.n_elements - 1)
-        return self.degree + e
-
-    def span_of_element(self, e: int) -> int:
-        """Knot-span index of element e (scalar or array)."""
-        return self.degree + e
-
     def all_basis_ders(self, span, x, n_ders: int) -> np.ndarray:
         """Nonzero basis functions and derivatives on knot spans.
 
@@ -152,7 +137,7 @@ def eval_basis(space: KnotVector, x: float, r: int = 0):
     space : KnotVector
         Basis description.
     x : float
-        Point in [0, 1].
+        Point in [0, 1]; x = 1 belongs to the last element.
     r : int
         Derivative order, 0 <= r <= degree.
 
@@ -167,9 +152,11 @@ def eval_basis(space: KnotVector, x: float, r: int = 0):
     ValueError
         If x lies outside [0, 1] or r is not an integer in 0..degree.
     """
-    p = space.degree
+    p, n = space.degree, space.n_elements
     check_int("r", r, 0, p)
-    span = space.find_span(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x = {x} outside the domain [0, 1]")
+    span = p + min(int(x * n), n - 1)
     ders = space.all_basis_ders(span, x, r)
     return [(span - p + j, ders[r, j]) for j in range(p + 1)]
 
@@ -188,7 +175,6 @@ def boundary_derivatives(space: KnotVector, r: int) -> tuple[np.ndarray, np.ndar
     # full-basis rows of the first and last element; the interior basis drops the ends
     at0 = np.zeros(space.n_basis)
     at1 = np.zeros(space.n_basis)
-    at0[: p + 1] = space.all_basis_ders(space.span_of_element(0), 0.0, r)[r]
-    at1[-(p + 1):] = space.all_basis_ders(
-        space.span_of_element(space.n_elements - 1), 1.0, r)[r]
+    at0[: p + 1] = space.all_basis_ders(p, 0.0, r)[r]
+    at1[-(p + 1):] = space.all_basis_ders(p + space.n_elements - 1, 1.0, r)[r]
     return at0[1:-1], at1[1:-1]

@@ -14,17 +14,12 @@ from igaspectra import (ConfigurationError, KnotVector, ResourceError,
                         SymBandMatrix, assemble_1d, assemble_1d_reference_gauss,
                         build_1d, gauss_legendre, gauss_lobatto,
                         optimal_blending, solve_1d)
-from igaspectra.assembly import _lobatto_defect, penalty_order
+from igaspectra.assembly import _lobatto_defect
 from igaspectra.bspline import boundary_derivatives
 from igaspectra.pipeline import _assembly_bytes
 
 from oracles import (band_pair_per_entry, blended_pair_mpmath,
                      dense_pair_overintegrated)
-
-
-def test_penalty_order_floor_table():
-    assert {p: penalty_order(p) for p in range(1, 8)} == {
-        1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2, 7: 3}
 
 
 def test_hat_functions_give_classical_tridiagonals():
@@ -137,9 +132,10 @@ def test_penalty_is_noop_below_cubic():
         assert np.array_equal(M0.to_dense(), M1.to_dense())
 
 
-@pytest.mark.parametrize("degree", (3, 5))
+@pytest.mark.parametrize("degree", (3, 5, 1, 2, 4, 6, 7))
 def test_penalty_matches_endpoint_derivative_outer_products(degree):
-    """Reconstruct the penalty from the endpoint derivatives directly."""
+    """Reconstruct the penalty from the endpoint derivatives directly,
+    with floor((p - 1) / 2) levels: none at p = 1, 2, three at p = 7."""
     n = 6
     space = KnotVector(degree, n)
     h = 1.0 / n
@@ -147,7 +143,7 @@ def test_penalty_matches_endpoint_derivative_outer_products(degree):
     K1, M1 = assemble_1d(space, 1, penalty=True)
     dK = np.zeros((space.n_dof, space.n_dof))
     dM = np.zeros_like(dK)
-    for level in range(1, penalty_order(degree) + 1):
+    for level in range(1, (degree - 1) // 2 + 1):
         d0, d1 = boundary_derivatives(space, 2 * level)
         ca = math.pi**2 * h ** (6 * level - 3)
         cb = h ** (6 * level - 1)

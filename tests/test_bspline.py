@@ -123,12 +123,12 @@ def test_dirichlet_space_size():
         assert space.h == pytest.approx(1.0 / n_elements, rel=1e-15)
 
 
-def test_find_span_covers_closed_interval():
+def test_eval_basis_span_covers_closed_interval():
+    """The first active function is the span index minus p."""
     kv = KnotVector(3, 8)
-    assert kv.find_span(0.0) == 3
-    assert kv.find_span(0.999) == 3 + 7
-    assert kv.find_span(1.0) == 3 + 7  # right endpoint folded into last span
-    assert kv.find_span(0.125) == 4
+    first = {x: eval_basis(kv, x)[0][0] for x in (0.0, 0.999, 1.0, 0.125)}
+    # the right endpoint is folded into the last span
+    assert first == {0.0: 0, 0.999: 7, 1.0: 7, 0.125: 1}
 
 
 def test_rejects_out_of_domain_and_bad_orders():
