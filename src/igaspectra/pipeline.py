@@ -51,6 +51,8 @@ def build_1d(degree: int, n_elements: int, quadrature: str = "blended",
     not fit in physical memory, and with ConfigurationError one with no
     interior unknowns.
     """
+    check_int("degree", degree, 1)
+    check_int("n_elements", n_elements, 1)
     check_memory(_assembly_bytes(degree, n_elements), "assembly",
                  f"{n_elements} elements of degree {degree}")
     space = KnotVector(degree, n_elements)
@@ -69,6 +71,8 @@ def build_1d(degree: int, n_elements: int, quadrature: str = "blended",
 def solve_1d(degree: int, n_elements: int, quadrature: str = "blended",
              penalty: bool = True, want_vectors: bool = True) -> Spectrum:
     """Solve the 1D problem; refuses an oversized mesh before assembling it."""
+    check_int("degree", degree, 1)
+    check_int("n_elements", n_elements, 1)
     _check_dense_fits(max(n_elements + degree - 2, 0), degree + 1)  # known up front
     _, K, M = build_1d(degree, n_elements, quadrature, penalty)
     return solve_generalized(K, M, want_vectors=want_vectors)

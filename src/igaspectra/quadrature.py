@@ -7,9 +7,10 @@ rule up to degree 2m-3.  The blend of the two (p+1)-point rules
 
     Q = eta * Q_gauss + (1 - eta) * Q_lobatto
 
-is fixed by the one number eta: 1 is plain Gauss, and the exact
-degree-dependent weight from ``optimal_blending`` minimises the
-dispersion error of the spectral approximation.  eta reaches -105013/2,
+is fixed by the one number eta: 1 is plain Gauss, and ``optimal_blending``
+gives the exact weight that cancels the theta^(2p+2) term of the discrete
+dispersion relation, so lambda h^2 = theta^2 + O(theta^(2p+4)) (Hughes,
+Reali & Sangalli, CMAME 197, 2008).  eta reaches -105103/2,
 so the two sums are never formed: ``assembly`` applies Gauss alone plus
 the closed-form Lobatto error on t^(2p).
 
@@ -43,7 +44,7 @@ _OPTIMAL_ETA = {
     4: Fraction(-79, 5),
     5: Fraction(-174, 1),
     6: Fraction(-91177, 35),
-    7: Fraction(-105013, 2),
+    7: Fraction(-105103, 2),
 }
 
 

@@ -222,6 +222,95 @@ def blended_pair_mpmath(degree, n_elements, dps=40):
                 np.array([[float(v) for v in r] for r in M]))
 
 
+
+def cardinal_bspline_at_integers(degree):
+    """Exact values B(0), ..., B(degree + 1) of the cardinal B-spline of
+    the given degree >= 1 (support [0, degree + 1]).
+
+    Tabulated bottom-up from the hat by the two-term recursion
+    B_d(j) = (j B_(d-1)(j) + (d + 1 - j) B_(d-1)(j - 1)) / d, so every
+    degree costs one pass over d + 2 integers.
+    """
+    b = [Fraction(0), Fraction(1), Fraction(0)]
+    for d in range(2, degree + 1):
+        pad = [0] + b + [0]  # pad[j + 1] = B_(d-1)(j) for j = -1 .. d + 1
+        b = [(j * pad[j + 1] + (d + 1 - j) * pad[j]) / d for j in range(d + 2)]
+    return b
+
+
+def lobatto_defect_exact(degree):
+    """E_p = Q(t^(2p)) - 2/(2p+1) of the (p+1)-point Gauss-Lobatto rule.
+
+    The nodes are the roots of the monic w = (t^2 - 1) P_p'(t) / lead.
+    Writing t^(2p) = w q + r with deg r <= p, the rule is exact on r and
+    zero on w q, and w is orthogonal to every degree below p - 1, so
+    E_p = -int w q = -int w t^(p-1).  Legendre coefficients in Fractions.
+    """
+    prev, leg = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for n in range(1, degree):
+        nxt = [Fraction(0)] + [Fraction(2 * n + 1, n + 1) * c for c in leg]
+        for i, c in enumerate(prev):
+            nxt[i] -= Fraction(n, n + 1) * c
+        prev, leg = leg, nxt
+    dleg = [i * c for i, c in enumerate(leg)][1:]
+    w = [-c for c in dleg] + [0, 0]
+    for i, c in enumerate(dleg):
+        w[i + 2] += c
+    return -sum(c / w[-1] * Fraction(2, i + degree)
+                for i, c in enumerate(w) if (i + degree - 1) % 2 == 0)
+
+
+def blended_toeplitz_rows(degree, eta):
+    """Exact interior rows (k_0..k_p, m_0..m_p) of the blended pencil, h = 1.
+
+    Entry (i + k, i) of K is k_k = -B''(p + 1 + k) and of M is
+    m_k = B(p + 1 + k), B the cardinal B-spline of degree 2p + 1; the
+    Lobatto part of the blend adds (1 - eta) c_p (-1)^k C(2p, p + k) to
+    m_k, the row of the 2p-th difference, with c_p = E_p / (2^(2p+1) (p!)^2).
+    """
+    p = degree
+    mass = cardinal_bspline_at_integers(2 * p + 1)
+    low = [0] + cardinal_bspline_at_integers(2 * p - 1) + [0, 0]  # low[j + 1] = B_(2p-1)(j)
+    c_p = lobatto_defect_exact(p) / (2 ** (2 * p + 1) * math.factorial(p) ** 2)
+    stiff = [-(low[p + 2 + k] - 2 * low[p + 1 + k] + low[p + k]) for k in range(p + 1)]
+    blend = (1 - Fraction(eta)) * c_p
+    return stiff, [mass[p + 1 + k] + blend * (-1) ** k * math.comb(2 * p, p + k)
+                   for k in range(p + 1)]
+
+
+def dispersion_series(degree, eta, terms):
+    """[c_0, ..., c_(terms-1)] with lambda h^2 = sum_j c_j theta^(2j), exactly.
+
+    The dispersion relation of the interior rows of the blended pencil
+    (Hughes, Reali & Sangalli, CMAME 197, 2008; Calo, Deng & Puzyrev,
+    JCAM 355, 2019): lambda h^2 is the quotient of the symbols
+    a_0 + 2 sum_k a_k cos(k theta) of the rows of K and M, each a
+    cosine series in t = theta^2, divided as power series.  The 2p-th
+    difference row has the symbol (2 - 2 cos theta)^p = theta^(2p) + ...
+    """
+    def symbol(row):
+        return [sum((1 if k == 0 else 2) * a * (-1) ** j
+                    * Fraction(k ** (2 * j), math.factorial(2 * j))
+                    for k, a in enumerate(row)) for j in range(terms)]
+
+    num, den = map(symbol, blended_toeplitz_rows(degree, eta))
+    quot = []
+    for n in range(terms):
+        quot.append((num[n] - sum(den[i] * quot[n - i] for i in range(1, n + 1))) / den[0])
+    return quot
+
+
+def optimal_blending_exact(degree):
+    """The Gauss weight eta that cancels the theta^(2p+2) term of lambda h^2.
+
+    That coefficient is affine in eta (the blend term starts at theta^(2p)),
+    so two evaluations fix its root.
+    """
+    p = degree
+    at_gauss = dispersion_series(p, 1, p + 2)[p + 1]
+    slope = at_gauss - dispersion_series(p, 0, p + 2)[p + 1]  # per unit of eta
+    return 1 - at_gauss / slope
+
 def rq_polish_dense(Kd, Md, lam, vec):
     """Re-evaluate eigenvalues as extended-precision Rayleigh quotients.
 

@@ -19,7 +19,7 @@ from igaspectra.bspline import boundary_derivatives
 from igaspectra.pipeline import _assembly_bytes
 
 from oracles import (band_pair_per_entry, blended_pair_mpmath,
-                     dense_pair_overintegrated)
+                     blended_toeplitz_rows, dense_pair_overintegrated)
 
 
 def test_hat_functions_give_classical_tridiagonals():
@@ -130,6 +130,21 @@ def test_penalty_is_noop_below_cubic():
         K1, M1 = assemble_1d(space, 1, penalty=True)
         assert np.array_equal(K0.to_dense(), K1.to_dense())
         assert np.array_equal(M0.to_dense(), M1.to_dense())
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+@pytest.mark.parametrize("blended", (False, True), ids=("gauss", "blended"))
+def test_interior_rows_match_the_exact_toeplitz_rows(degree, blended):
+    """The rows the dispersion analysis of eta assumes are the assembled ones."""
+    n = 4 * degree + 4
+    eta = optimal_blending(degree) if blended else 1
+    K, M = assemble_1d(KnotVector(degree, n), eta)
+    stiff, mass = (np.array([float(v) for v in row])
+                   for row in blended_toeplitz_rows(degree, eta))
+    i = n // 2 - degree  # rows i..i+p lie away from both ends
+    h = 1.0 / n
+    np.testing.assert_allclose(K.data[:, i] * h, stiff, rtol=0, atol=1e-12 * abs(stiff).max())
+    np.testing.assert_allclose(M.data[:, i] / h, mass, rtol=0, atol=1e-12 * abs(mass).max())
 
 
 @pytest.mark.parametrize("degree", (3, 5, 1, 2, 4, 6, 7))

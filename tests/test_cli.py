@@ -23,6 +23,8 @@ from igaspectra.cli import build_parser, main
 
 from oracles import render_rows_reference
 
+ROOT = pathlib.Path(__file__).parents[1]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -281,6 +283,15 @@ def test_memory_error_exits_3_without_output(capsys, monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_memory_error_without_message_is_named(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(pipeline, "spectrum_rows", boom)
+    code, stdout, err = run(capsys, "spectrum", "--dim", "1", "--elements", "5")
+    assert (code, stdout, err) == (3, "", "out of memory: an allocation failed\n")
+
+
 def test_unwritable_output_path_exits_3(capsys, tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "out.csv"
     code, _, err = run(capsys, "spectrum", "--dim", "1", "--degree", "2",
@@ -435,6 +446,23 @@ def test_traced_names_resolve():
         for part in attr_path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{attr_path}"
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in
+                                  json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_benchmark_workload_passes_its_output_checks(name):
+    """Each benchmark command line, run as the benchmark runs it (one BLAS
+    thread), prints what the benchmark's own checks accept."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS[name]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-m", "igaspectra", *workload.argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    workloads.check_output(workload, done.stdout)  # raises CheckError on a bad output
 
 
 @pytest.mark.parametrize("command", [

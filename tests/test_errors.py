@@ -66,6 +66,18 @@ def test_integer_arguments_are_checked_before_any_solve(monkeypatch, call, good,
         call(np.int64(good))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: pipeline.solve_1d(3, "5"), "n_elements must be an integer, got '5'"),
+    (lambda: pipeline.build_1d(3, "5"), "n_elements must be an integer, got '5'"),
+    (lambda: pipeline.solve_1d(3.5, 10**9), "degree must be an integer, got 3.5"),
+], ids=["solve_1d-str", "build_1d-str", "solve_1d-float-huge"])
+def test_integers_are_checked_before_the_memory_guards(call, message):
+    # the guards would do arithmetic on the value first, or refuse its size
+    with pytest.raises(ConfigurationError) as info:
+        call()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("value,low,high,message", [
     (2.5, 1, None, "x must be an integer, got 2.5"),
     (np.float64(3.0), 1, None, f"x must be an integer, got {np.float64(3.0)!r}"),

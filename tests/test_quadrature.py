@@ -11,6 +11,8 @@ from igaspectra import (ConfigurationError, gauss_legendre, gauss_lobatto,
                         map_to_element, optimal_blending)
 from igaspectra.assembly import _lobatto_defect
 
+from oracles import dispersion_series, lobatto_defect_exact, optimal_blending_exact
+
 SQ3 = math.sqrt(3.0)
 SQ30 = math.sqrt(30.0)
 SQ70 = math.sqrt(70.0)
@@ -51,7 +53,7 @@ OPTIMAL_GAUSS_WEIGHT = {
     4: -79 / 5,
     5: -174.0,
     6: -91177 / 35,
-    7: -105013 / 2,
+    7: -105103 / 2,
 }
 
 
@@ -139,6 +141,32 @@ def test_optimal_blending_table():
         optimal_blending(0)
     with pytest.raises(ConfigurationError):
         optimal_blending(8)
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_optimal_blending_is_the_dispersion_optimal_weight(degree):
+    """The table equals eta derived from the Toeplitz symbols, and with
+    it lambda h^2 = theta^2 + O(theta^(2p+4)): the theta^(2p+2) term of
+    the Galerkin relation cancels and the next one does not."""
+    eta = optimal_blending(degree)
+    assert eta == optimal_blending_exact(degree)
+    series = dispersion_series(degree, eta, degree + 3)
+    assert series[:degree + 2] == [0, 1] + [0] * degree
+    assert series[degree + 2] != 0
+
+
+def test_dispersion_oracle_reproduces_known_values():
+    # linear elements: 6 (1 - cos t) / (2 + cos t) = t^2 + t^4/12 + t^6/360 + ...
+    assert dispersion_series(1, 1, 4) == [0, 1, Fraction(1, 12), Fraction(1, 360)]
+    # the Lobatto defect by orthogonality equals the A&S closed form
+    assert [lobatto_defect_exact(p) for p in range(1, 11)] == [
+        _lobatto_defect(p) for p in range(1, 11)]
+    # beyond the table the derivation continues, bottom-up in well under a second
+    assert [optimal_blending_exact(p) for p in (8, 9, 10)] == [
+        Fraction(-4137845, 3), Fraction(-319922024, 7), Fraction(-20529364481, 11)]
+    # leading relative error of the optimal p = 7 blend, per theta^16
+    assert dispersion_series(7, Fraction(-105103, 2), 10)[9] == Fraction(
+        91067, 2667655710720000)
 
 
 def test_blended_rule_keeps_lobatto_exactness_only():
