@@ -23,7 +23,7 @@ from .analysis import (ExactSpectrum, condition_report, convergence_rates,
                        eigenfunction_errors, eigenvalue_errors)
 from .assembly import assemble_1d, assemble_1d_reference_gauss
 from .bspline import KnotVector
-from .eigsolve import Spectrum, _check_dense_fits, solve_generalized
+from .eigsolve import Spectrum, _check_solve_fits, solve_generalized
 from .errors import ConfigurationError, check_int, check_memory
 from .quadrature import optimal_blending
 
@@ -69,13 +69,20 @@ def build_1d(degree: int, n_elements: int, quadrature: str = "blended",
 
 
 def solve_1d(degree: int, n_elements: int, quadrature: str = "blended",
-             penalty: bool = True, want_vectors: bool = True) -> Spectrum:
-    """Solve the 1D problem; refuses an oversized mesh before assembling it."""
+             penalty: bool = True, want_vectors: bool = True,
+             k: int | None = None) -> Spectrum:
+    """Solve the 1D problem; refuses an oversized mesh before assembling it.
+
+    With ``k``, only the k smallest pairs (see ``solve_generalized``).
+    """
     check_int("degree", degree, 1)
     check_int("n_elements", n_elements, 1)
-    _check_dense_fits(max(n_elements + degree - 2, 0), degree + 1)  # known up front
+    if k is not None:
+        check_int("k", k, 1)
+    # the size is known up front
+    _check_solve_fits(max(n_elements + degree - 2, 0), degree + 1, k)
     _, K, M = build_1d(degree, n_elements, quadrature, penalty)
-    return solve_generalized(K, M, want_vectors=want_vectors)
+    return solve_generalized(K, M, want_vectors=want_vectors, k=k)
 
 
 def spectral_sum(axis_spectra, k: int | None = None) -> Spectrum:
@@ -117,13 +124,16 @@ def solve_nd(dim: int, degree: int, n_elements: int, quadrature: str = "blended"
              penalty: bool = True, k: int | None = None) -> Spectrum:
     """Spectrum on [0, 1]^dim with the same mesh and scheme on every axis.
 
-    With ``k``, a 2D/3D spectrum holds only its k smallest sums.
+    With ``k``, the spectrum holds only its k smallest eigenvalues: in
+    1D the k smallest pairs of the subset solve, in 2D/3D the k
+    smallest sums of the full axis spectra.
     """
     check_int("dim", dim, 1, 3)
     if k is not None:
         check_int("k", k, 1)
+    # only the 1D path reads eigenvectors, so only it solves for k pairs
     axis = solve_1d(degree, n_elements, quadrature, penalty,
-                    want_vectors=(dim == 1))
+                    want_vectors=(dim == 1), k=k if dim == 1 else None)
     if dim == 1:
         return axis
     return spectral_sum([axis] * dim, k=k)

@@ -270,6 +270,9 @@ def test_nd_mode_beyond_resolution_is_refused():
     # degree 2 on one element leaves one DOF per axis, one mode in 2D
     with pytest.raises(ConfigurationError, match="mode 3 not resolvable with 1 DOFs"):
         convergence_table(2, 2, (1, 2, 3), (3,))
+    # in 1D the solve for the 3 smallest pairs returns the one there is
+    with pytest.raises(ConfigurationError, match="mode 3 not resolvable with 1 DOFs"):
+        convergence_table(1, 2, (1, 2, 3), (3,))
 
 
 @pytest.mark.parametrize("modes", [(0, 1), (1, -2), (), (1.5,)])

@@ -465,6 +465,20 @@ def test_benchmark_workload_passes_its_output_checks(name):
     workloads.check_output(workload, done.stdout)  # raises CheckError on a bad output
 
 
+def test_convergence_output_does_not_depend_on_the_blas_thread_count():
+    """The 1D convergence solves take the subset path, whose output is the
+    same at one and two BLAS threads (the dense sygvd path's is not)."""
+    argv = "convergence --dim 1 --degree 7 --elements 100,200,400,800 --modes 1,6".split()
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-m", "igaspectra", *argv],
+                              env=env, capture_output=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, b"")
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("command", [
     "convergence --dim 1 --degree 3 --elements 5,10,20",
     "condition --dim 3 --degree 3 --elements 10",

@@ -1,5 +1,6 @@
 """Generalized eigensolver: accuracy contracts and failure modes."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,11 @@ import scipy.linalg as sla
 import scipy.sparse as sps
 from scipy.linalg.lapack import dpotrf
 
-from igaspectra import (DefinitenessError, ResourceError, Spectrum, SymBandMatrix,
-                        build_1d, solve_1d, solve_generalized)
+from igaspectra import (DefinitenessError, KnotVector, NumericError, ResourceError,
+                        Spectrum, SymBandMatrix, build_1d, convergence_table,
+                        eigenfunction_errors, eigsolve, solve_1d, solve_generalized)
 from igaspectra.eigsolve import (_DENSE_BYTES_PER_N2, _POLISH_BYTES_PER_NW,
-                                 _rayleigh_quotients)
+                                 _SUBSET_BYTES_PER_NB, _rayleigh_quotients)
 
 from oracles import rq_polish_dense
 
@@ -27,10 +29,18 @@ def test_linear_elements_reproduce_dispersion_closed_form():
     np.testing.assert_allclose(spec.eigenvalues, want, rtol=1e-13)
 
 
-@pytest.mark.parametrize("degree,n_elements", [(2, 8), (3, 12), (5, 9), (7, 10)])
-def test_eigenpairs_satisfy_residual_and_orthonormality(degree, n_elements):
+_SMALL_PENCILS = [(2, 8), (3, 12), (5, 9), (7, 10)]
+
+
+@pytest.mark.parametrize("degree,n_elements,k", [
+    *[pytest.param(p, n, None, id=f"{p}-{n}") for p, n in _SMALL_PENCILS],
+    *[pytest.param(p, n, 6, id=f"{p}-{n}-k6") for p, n in _SMALL_PENCILS + [(3, 40)]]])
+def test_eigenpairs_satisfy_residual_and_orthonormality(degree, n_elements, k):
+    """Full spectra, and the 6 smallest pairs: dense on the small pencils,
+    by subspace iteration on the 41 unknowns of (3, 40)."""
     _, K, M = build_1d(degree, n_elements)
-    spec = solve_generalized(K, M)
+    spec = solve_generalized(K, M, k=k)
+    assert spec.n == (K.n if k is None else min(k, K.n))
     Kd, Md = K.to_dense(), M.to_dense()
     lam, V = spec.eigenvalues, spec.eigenvectors
     assert np.all(lam > 0.0)
@@ -129,9 +139,10 @@ def test_indefinite_mass_pivot_matches_lapack_cholesky(quadrature, row,
     M.data[diagonal, row] *= factor
     pivot = dpotrf(M.to_dense(), lower=1)[1]
     assert pivot > 0
-    with pytest.raises(DefinitenessError) as err:
-        solve_generalized(K, M)
-    assert err.value.pivot == pivot
+    for k in (None, 6):  # k = 6 takes the subset path: a block of 20 < 21
+        with pytest.raises(DefinitenessError) as err:
+            solve_generalized(K, M, k=k)
+        assert err.value.pivot == pivot
 
 
 @pytest.mark.parametrize("storage", ["dense", "sparse"])
@@ -215,3 +226,86 @@ def test_oversized_1d_solve_refuses_before_assembly():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("degree,n_elements,k", [
+    (7, 100, 6), (7, 400, 6), (7, 800, 6), (3, 1000, 3), (1, 300, 1),
+    (5, 300, 10), (2, 60, 20)])
+def test_subset_eigenvalues_match_the_dense_solve(degree, n_elements, k):
+    """The k smallest pairs by subspace iteration: the dense first k within 2 ulps."""
+    _, K, M = build_1d(degree, n_elements)
+    dense = solve_generalized(K, M, want_vectors=False).eigenvalues[:k]
+    subset = solve_generalized(K, M, k=k)
+    assert subset.eigenvectors.shape == (K.n, k)
+    assert np.all(np.abs(subset.eigenvalues - dense) <= 2 * np.finfo(float).eps * dense)
+    values_only = solve_generalized(K, M, want_vectors=False, k=k)
+    assert np.array_equal(values_only.eigenvalues, subset.eigenvalues)
+
+
+def test_subset_eigenfunctions_carry_less_noise_than_the_dense_solve():
+    # sygvd leaves eps * lambda_max noise in every vector; the iteration does not
+    _, K, M = build_1d(7, 400)
+    space = KnotVector(7, 400)
+    dense = eigenfunction_errors(solve_generalized(K, M), space, (1, 6))
+    subset = eigenfunction_errors(solve_generalized(K, M, k=6), space, (1, 6))
+    assert np.all(subset.h1 < dense.h1) and np.all(subset.l2 < dense.l2)
+
+
+@pytest.mark.parametrize("degree,n_elements,k", [(1, 2000, 1), (7, 2000, 6), (1, 201, 95)])
+def test_subset_solve_peak_stays_within_its_estimate(degree, n_elements, k):
+    _, K, M = build_1d(degree, n_elements)
+    n, b = K.n, 2 * k + 8
+    tracemalloc.start()
+    try:
+        solve_generalized(K, M, k=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _SUBSET_BYTES_PER_NB * (n + b) * b + _POLISH_BYTES_PER_NW * n * (degree + 1)
+
+
+def test_subset_solve_refuses_before_allocating():
+    # a block of 4008 vectors of 10^6 entries: 190 GB
+    K = SymBandMatrix(10**6, 1)
+    M = SymBandMatrix(10**6, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="subset solve of 2000 pairs would need"):
+            solve_generalized(K, M, k=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_memory_guard_charges_the_path_that_runs(monkeypatch):
+    """With 1 GiB of physical memory the dense solve of 8001 unknowns (2 GB)
+    is refused, while convergence solves for its modes on the subset path."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(ResourceError, match="dense solve would need"):
+        solve_1d(3, 8000)
+    rows, _ = convergence_table(1, 3, (2000, 4000, 8000))
+    assert [row["n_elements"] for row in rows] == [2000, 4000, 8000]
+
+
+def test_subset_path_refuses_an_indefinite_stiffness():
+    _, K, M = build_1d(3, 40)
+    K.data[0, 5] *= -1.0
+    assert solve_generalized(K, M).eigenvalues[0] < 0  # the dense path solves it
+    with pytest.raises(NumericError, match="K is not positive definite"):
+        solve_generalized(K, M, k=6)
+
+
+def test_subset_iteration_stops_at_its_cap():
+    # one eigenvalue of multiplicity 30: the block never separates mode k from the rest
+    eye = SymBandMatrix(30, 0, np.ones((1, 30)))
+    with pytest.raises(NumericError, match="did not converge"):
+        solve_generalized(eye, eye, k=1)
+
+
+def test_subset_pairs_must_meet_the_backward_error_bound(monkeypatch):
+    monkeypatch.setattr(eigsolve, "_BACKWARD_ERROR_BOUND", 0.0)
+    _, K, M = build_1d(3, 40)
+    with pytest.raises(NumericError, match="backward error"):
+        solve_generalized(K, M, k=6)

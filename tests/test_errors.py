@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from igaspectra import (ConfigurationError, ExactSpectrum, KnotVector,
-                        Spectrum, SymBandMatrix, boundary_derivatives,
+                        Spectrum, SymBandMatrix, boundary_derivatives, build_1d,
                         condition_summary, convergence_table,
                         eigenfunction_errors, eval_basis, gauss_legendre,
-                        gauss_lobatto, optimal_blending, pipeline, solve_nd,
-                        spectral_sum)
+                        gauss_lobatto, optimal_blending, pipeline, solve_1d,
+                        solve_generalized, solve_nd, spectral_sum)
 from igaspectra.errors import check_int
 
 
@@ -42,6 +42,8 @@ CALL_SITES = [
     ("spectral_sum-k", lambda v: spectral_sum([_AXIS, _AXIS], k=v), 2, 0),
     ("solve_nd-dim", lambda v: solve_nd(v, 3, 5), 2, 4),
     ("solve_nd-k", lambda v: solve_nd(2, 3, 5, k=v), 2, 0),
+    ("solve_1d-k", lambda v: solve_1d(3, 40, k=v), 6, 0),
+    ("solve_generalized-k", lambda v: solve_generalized(*build_1d(3, 40)[1:], k=v), 6, 0),
     ("condition_summary-dim", lambda v: condition_summary(v, 3, 5), 2, 0),
     ("ExactSpectrum-dim", ExactSpectrum, 2, 4),
     ("ExactSpectrum.eigenvalues", lambda v: ExactSpectrum(1).eigenvalues(v), 3, 0),
