@@ -142,18 +142,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "boxes with smooth B-splines, blended quadrature and a "
                     "boundary penalty.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, parents, mesh, mesh_help in (
+    for name, help_text, parents, mesh, default, mesh_help in (
         ("spectrum", "full discrete spectrum on one mesh", [shared, scheme],
-         _one_mesh, "elements per axis"),
+         _one_mesh, "10", "elements per axis"),
         ("convergence", "errors and rates over a mesh sequence", [shared, scheme],
-         _positive_ints,
+         _positive_ints, "10,20,40,80",
          "elements per axis of each mesh, comma separated, at least 3, increasing"),
         ("condition", "condition numbers, baseline vs blended + penalty", [shared],
-         _one_mesh, "elements per axis"),
+         _one_mesh, "10", "elements per axis"),
     ):
         s = sub.add_parser(name, help=help_text, parents=parents)
         # a string default goes through the type, so it is checked like input
-        s.add_argument("--elements", type=mesh, default="10", help=mesh_help)
+        s.add_argument("--elements", type=mesh, default=default, help=mesh_help)
     sub.choices["convergence"].add_argument("--modes", type=_positive_ints, default="1,6",
                                             help="mode ranks tracked, comma separated")
     return parser

@@ -25,11 +25,11 @@ Two accuracy details on top of either path:
   can exceed the superconvergent discretisation error of the smallest
   eigenvalues.  Each eigenvalue is therefore re-evaluated as the
   Rayleigh quotient of its computed eigenvector, accumulated in extended
-  precision from the band storage of K and M at O(n p) per vector: the
-  quotient is quadratically insensitive to the eigenvector error, which
-  brings the smallest eigenvalues to near machine-relative accuracy.
-  The polish runs at every size, so the eigenvalues do not depend on
-  whether the caller keeps the eigenvectors.
+  precision by the module's one band row product, at O(n p) per
+  vector: the quotient is quadratically insensitive to the eigenvector
+  error, which brings the smallest eigenvalues to near machine-relative
+  accuracy.  The polish runs at every size, so the eigenvalues do not
+  depend on whether the caller keeps the eigenvectors.
 * Eigenvector signs are fixed so each vector's largest-magnitude entry
   is positive, making results reproducible across runs.
 """
@@ -112,42 +112,45 @@ def _check_solve_fits(n: int, width: int, k: int | None = None) -> None:
     check_memory(need + _POLISH_BYTES_PER_NW * n * width, task, f"{n} unknowns")
 
 
-def _rayleigh_quotients(k_band, m_band, vec) -> np.ndarray:
-    """(v^T K v) / (v^T M v) for each column v of ``vec``, in extended precision.
-
-    K and M come as lower bands (SymBandMatrix storage).  Each row sum
-    (K v)_i runs over the band entries of row i in column order, as the
-    dense product K @ v would, at O(n p) per vector; ``_POLISH_BLOCK``
-    columns at a time bound the extended-precision buffers.
-    """
-    n, count = vec.shape
-    w = min(max(len(k_band), len(m_band)), n)
-    rows = np.zeros((n, 2, 2 * w - 1), dtype=np.longdouble)
-    for m, band in enumerate((k_band, m_band)):
+def _band_rows(bands, dtype) -> np.ndarray:
+    """(n, m, 2w - 1) rows of the m symmetric matrices stored as lower ``bands``:
+    [i, m, w - 1 + j] holds entry (i, i + j), zero outside the matrix."""
+    n = bands[0].shape[1]
+    w = min(max(len(band) for band in bands), n)
+    rows = np.zeros((n, len(bands), 2 * w - 1), dtype=dtype)
+    for m, band in enumerate(bands):
         for k in range(min(len(band), n)):
             rows[: n - k, m, w - 1 + k] = band[k, : n - k]
             rows[k:, m, w - 1 - k] = band[k, : n - k]
-    pad = np.zeros((n + 2 * w - 2, _POLISH_BLOCK), dtype=np.longdouble)
+    return rows
+
+
+def _band_products(rows, x) -> np.ndarray:
+    """(n, m, c) products of the ``_band_rows`` matrices with the n x c ``x``,
+    each row summed in column order at O(w) per entry."""
+    n, _, width = rows.shape
+    pad = np.zeros((n + width - 1, x.shape[1]), dtype=rows.dtype)
+    pad[width // 2 : width // 2 + n] = x
+    # window[i, j] holds x[i + j - width // 2], the entry row i multiplies at j
+    return rows @ sliding_window_view(pad, width, axis=0).transpose(0, 2, 1)
+
+
+def _rayleigh_quotients(k_band, m_band, vec) -> np.ndarray:
+    """(v^T K v) / (v^T M v) for each column v of ``vec``, in extended precision.
+
+    K and M come as lower bands (SymBandMatrix storage); ``_POLISH_BLOCK``
+    columns at a time bound the extended-precision buffers.
+    """
+    n, count = vec.shape
+    rows = _band_rows((k_band, m_band), np.longdouble)
+    # one extended-precision block, so the einsum below casts nothing
+    block = np.empty((n, min(count, _POLISH_BLOCK)), dtype=np.longdouble)
     forms = np.empty((2, count), dtype=np.longdouble)
     for c in range(0, count, _POLISH_BLOCK):
-        v = pad[w - 1 : w - 1 + n, : min(_POLISH_BLOCK, count - c)]
+        v = block[:, : min(_POLISH_BLOCK, count - c)]
         v[...] = vec[:, c : c + v.shape[1]]
-        # window[i, j] holds v[i + j - w + 1], the entries row i multiplies
-        window = sliding_window_view(pad[:, : v.shape[1]], 2 * w - 1, axis=0)
-        products = rows @ window.transpose(0, 2, 1)  # (n, 2, b): (K v)_i, (M v)_i
-        forms[:, c : c + v.shape[1]] = np.einsum("ib,imb->mb", v, products)
+        forms[:, c : c + v.shape[1]] = np.einsum("ib,imb->mb", v, _band_products(rows, v))
     return (forms[0] / forms[1]).astype(float)
-
-
-def _band_matvec(band, x) -> np.ndarray:
-    """A @ x for the symmetric A stored as the lower band ``band`` (n x m ``x``)."""
-    n = x.shape[0]
-    y = band[0, :, None] * x
-    for k in range(1, min(len(band), n)):
-        d = band[k, : n - k, None]
-        y[k:] += d * x[:-k]
-        y[:-k] += d * x[k:]
-    return y
 
 
 def _dense_vectors(K: SymBandMatrix, M: SymBandMatrix) -> np.ndarray:
@@ -180,13 +183,14 @@ def _subspace_vectors(K: SymBandMatrix, M: SymBandMatrix, k: int, b: int) -> np.
     k_factor, info = pbtrf(k_band, lower=1)
     if info > 0:
         raise NumericError(f"K is not positive definite: Cholesky pivot {info} failed")
+    m_rows = _band_rows((m_band,), float)
     x = np.arange(1, n + 1) / (n + 1)
     vec = np.sin(np.pi * np.outer(x, np.arange(1, b + 1)))
     for it in range(1, _MAX_ITERATIONS + 1):
-        m_vec = _band_matvec(m_band, vec)
+        m_vec = _band_products(m_rows, vec)[:, 0]
         y = pbtrs(k_factor, m_vec, lower=1)[0]
         # K y = M vec, so y^T K y = y^T M vec
-        theta, q, info = sygvd(y.T @ m_vec, y.T @ _band_matvec(m_band, y), uplo="U")
+        theta, q, info = sygvd(y.T @ m_vec, y.T @ _band_products(m_rows, y)[:, 0], uplo="U")
         if info:
             raise NumericError(f"Rayleigh-Ritz step failed with LAPACK info {info}")
         vec = y @ q
@@ -198,11 +202,10 @@ def _subspace_vectors(K: SymBandMatrix, M: SymBandMatrix, k: int, b: int) -> np.
 
 def _check_backward_errors(K: SymBandMatrix, M: SymBandMatrix, lam, vec) -> None:
     """Raise NumericError if a pair misses ``_BACKWARD_ERROR_BOUND``."""
-    k_vec, m_vec = _band_matvec(K.data, vec), _band_matvec(M.data, vec)
-    ones = np.ones((K.n, 1))
+    rows = _band_rows((K.data, M.data), float)
+    k_vec, m_vec = _band_products(rows, vec).transpose(1, 0, 2)
     # the 1-norm of a symmetric matrix is its largest absolute row sum
-    k_norm = _band_matvec(np.abs(K.data), ones).max()
-    m_norm = _band_matvec(np.abs(M.data), ones).max()
+    k_norm, m_norm = np.abs(rows).sum(axis=2).max(axis=0)
     err = np.linalg.norm(k_vec - m_vec * lam, axis=0) / (
         (k_norm + np.abs(lam) * m_norm) * np.linalg.norm(vec, axis=0))
     if not np.all(err <= _BACKWARD_ERROR_BOUND):

@@ -124,16 +124,12 @@ def solve_nd(dim: int, degree: int, n_elements: int, quadrature: str = "blended"
              penalty: bool = True, k: int | None = None) -> Spectrum:
     """Spectrum on [0, 1]^dim with the same mesh and scheme on every axis.
 
-    With ``k``, the spectrum holds only its k smallest eigenvalues: in
-    1D the k smallest pairs of the subset solve, in 2D/3D the k
-    smallest sums of the full axis spectra.
+    With ``k``, the spectrum holds only its k smallest eigenvalues: the
+    k smallest pairs of the 1D solve (see ``solve_generalized``), and in
+    2D/3D the k smallest sums of those axis eigenvalues.
     """
     check_int("dim", dim, 1, 3)
-    if k is not None:
-        check_int("k", k, 1)
-    # only the 1D path reads eigenvectors, so only it solves for k pairs
-    axis = solve_1d(degree, n_elements, quadrature, penalty,
-                    want_vectors=(dim == 1), k=k if dim == 1 else None)
+    axis = solve_1d(degree, n_elements, quadrature, penalty, want_vectors=dim == 1, k=k)
     if dim == 1:
         return axis
     return spectral_sum([axis] * dim, k=k)

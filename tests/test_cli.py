@@ -381,6 +381,13 @@ def test_help_lists_exactly_the_command_flags(command, capsys):
     assert flags == COMMAND_FLAGS[command] | {"--help"}
 
 
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_each_command_runs_on_its_defaults(command, capsys):
+    code, out, err = run(capsys, command)
+    assert (code, err) == (0, "")
+    assert out.count("\n") > 1
+
+
 def _ints(lo, hi, min_size, max_size):
     """A comma-separated integer list, now and then with a non-integer token."""
     token = st.integers(lo, hi).map(str) | st.sampled_from(["abc", "1.5", "x"])
@@ -466,17 +473,20 @@ def test_benchmark_workload_passes_its_output_checks(name):
 
 
 def test_convergence_output_does_not_depend_on_the_blas_thread_count():
-    """The 1D convergence solves take the subset path, whose output is the
-    same at one and two BLAS threads (the dense sygvd path's is not)."""
-    argv = "convergence --dim 1 --degree 7 --elements 100,200,400,800 --modes 1,6".split()
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
-        done = subprocess.run([sys.executable, "-m", "igaspectra", *argv],
-                              env=env, capture_output=True, timeout=300)
-        assert (done.returncode, done.stderr) == (0, b"")
-        outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
+    """convergence solves its axis pencil on the subset path in every
+    dimension, and its output is the same at one and two BLAS threads (the
+    dense sygvd path's is not)."""
+    for command in ("convergence --dim 1 --degree 7 --elements 100,200,400,800 --modes 1,6",
+                    "convergence --dim 3 --degree 7 --elements 250,500,1000,2000"):
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                   "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-m", "igaspectra", *command.split()],
+                                  env=env, capture_output=True, timeout=300)
+            assert (done.returncode, done.stderr) == (0, b""), command
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1], command
 
 
 @pytest.mark.parametrize("command", [

@@ -13,7 +13,8 @@ from igaspectra import (DefinitenessError, KnotVector, NumericError, ResourceErr
                         Spectrum, SymBandMatrix, build_1d, convergence_table,
                         eigenfunction_errors, eigsolve, solve_1d, solve_generalized)
 from igaspectra.eigsolve import (_DENSE_BYTES_PER_N2, _POLISH_BYTES_PER_NW,
-                                 _SUBSET_BYTES_PER_NB, _rayleigh_quotients)
+                                 _SUBSET_BYTES_PER_NB, _band_products, _band_rows,
+                                 _rayleigh_quotients)
 
 from oracles import rq_polish_dense
 
@@ -65,7 +66,7 @@ def test_eigenvalues_invariant_under_matrix_scaling():
 
 
 def test_eigenvalues_do_not_depend_on_want_vectors():
-    # 405 unknowns: above the size where the polish used to be skipped
+    # 405 unknowns, so the polish runs on a pencil of realistic size
     _, K, M = build_1d(7, 400)
     with_vectors = solve_generalized(K, M, want_vectors=True)
     values_only = solve_generalized(K, M, want_vectors=False)
@@ -73,9 +74,11 @@ def test_eigenvalues_do_not_depend_on_want_vectors():
     assert np.array_equal(with_vectors.eigenvalues, values_only.eigenvalues)
 
 
-@pytest.mark.parametrize("degree,n_elements,quadrature", [
-    (2, 9, "gauss"), (3, 12, "blended"), (5, 9, "blended"), (7, 3, "gauss"),
-    (7, 30, "blended"), (4, 1, "blended")])
+_BAND_PENCILS = [(2, 9, "gauss"), (3, 12, "blended"), (5, 9, "blended"), (7, 3, "gauss"),
+                 (7, 30, "blended"), (4, 1, "blended")]
+
+
+@pytest.mark.parametrize("degree,n_elements,quadrature", _BAND_PENCILS)
 @pytest.mark.parametrize("storage", ["band", "padded"])
 def test_band_polish_matches_dense_rayleigh_quotients(degree, n_elements,
                                                       quadrature, storage):
@@ -93,6 +96,24 @@ def test_band_polish_matches_dense_rayleigh_quotients(degree, n_elements,
         k_band, m_band = (np.pad(b, ((0, K.n), (0, 0))) for b in (k_band, m_band))
     got = np.sort(_rayleigh_quotients(k_band, m_band, V))
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("degree,n_elements,quadrature",
+                         _BAND_PENCILS + [(1, 12, "gauss"), (6, 20, "blended")])
+@pytest.mark.parametrize("storage", ["band", "padded"])
+@pytest.mark.parametrize("columns", [1, 20])
+def test_float64_band_products_match_the_dense_products(degree, n_elements, quadrature,
+                                                        storage, columns):
+    """K X and M X from the band rows agree with the dense products."""
+    _, K, M = build_1d(degree, n_elements, quadrature)
+    X = np.random.default_rng(degree * 100 + n_elements).standard_normal((K.n, columns))
+    bands = (K.data, M.data)
+    if storage == "padded":
+        bands = tuple(np.pad(b, ((0, K.n), (0, 0))) for b in bands)
+    got = _band_products(_band_rows(bands, float), X)
+    for m, A in enumerate((K.to_dense(), M.to_dense())):
+        bound = 1e-15 * np.linalg.norm(A, 2) * np.linalg.norm(X, 2)
+        assert np.abs(got[:, m] - A @ X).max() <= bound
 
 
 def test_callers_band_data_is_not_overwritten():
