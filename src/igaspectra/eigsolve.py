@@ -1,16 +1,23 @@
-"""Generalized symmetric-definite eigensolver K u = lambda M u.
+"""Generalized symmetric-definite eigensolver K u = lambda M u, on numpy alone.
 
-The pencil is a pair of banded SymBandMatrix, solved on one of two paths:
+The pencil is a pair of banded SymBandMatrix.  Both of its solve paths
+rest on one block band Cholesky factor: blocks of s >= w rows make a
+band of w diagonals block tridiagonal, np.linalg.cholesky factors each
+diagonal block less its coupling to the block before, and a solve is
+one batched product with the inverted diagonal blocks plus a w-column
+update per block.  A block that fails is factored again one column at a
+time, to report the first failing pivot as LAPACK potrf numbers it.
 
-* every pair, by the divide-and-conquer driver sygvd (Gu & Eisenstat,
-  SIMAX 16, 1995) on the dense pair, which factorises M by Cholesky and
-  reports the failing pivot if M is not positive definite;
+* every pair, by the Cholesky reduction M = L L^T: the eigenvectors z
+  of L^-1 K L^-T, from np.linalg.eigh (divide and conquer, Gu &
+  Eisenstat, SIMAX 16, 1995), give the pencil's as L^-T z;
 * the k smallest pairs, when asked for and the pencil has more than
   b = 2k + 8 unknowns, by block subspace iteration on K^-1 M (Bathe &
   Wilson 1972; Saad, Numerical Methods for Large Eigenvalue Problems,
-  ch. 5) at O(n b (p + b)) per step: b start columns sin(j pi x_i),
-  then per step a band Cholesky solve with K (LAPACK pbtrf/pbtrs) and
-  a b x b Rayleigh-Ritz step.  Mode j keeps a part of the modes beyond
+  ch. 5) at O(n b (s + b)) per step: b start columns sin(j pi x_i),
+  then per step the two solves with K's band Cholesky factor and a
+  b x b Rayleigh-Ritz step (the same reduction, on the block's Gram
+  matrix).  Mode j keeps a part of the modes beyond
   the block that shrinks as (lambda_j / lambda_(b+1))^it, so the
   iteration runs until (theta_k / theta_b)^it <= eps for the current
   Ritz values theta, well past the point where the backward error
@@ -38,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .assembly import SymBandMatrix
 from .errors import DefinitenessError, NumericError, check_int, check_memory
@@ -67,19 +73,24 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-#: Peak bytes of the dense solve: per n^2, four n x n doubles (the pair
-#: and the divide-and-conquer workspace); per n * w, for a band of w
-#: stored diagonals, the extended-precision rows of the polish.  The
-#: tracemalloc peak measured at n = 501..1205, p = 3, 5, 7 fits under
-#: the sum.
-_DENSE_BYTES_PER_N2 = 32
+#: Peak bytes of the dense solve: per n^2, five n x n doubles (the
+#: reduced matrix, eigh's copy of it, its divide-and-conquer workspace
+#: of two and the eigenvectors; the peak RSS growth measured at n = 1501
+#: and 2005 is 41-43 n^2 bytes with the other terms); per n * w, for a
+#: band of w stored diagonals, the extended-precision rows of the polish.
+_DENSE_BYTES_PER_N2 = 40
 _POLISH_BYTES_PER_NW = 80
 #: Peak bytes of the subset solve per (n + b) * b, for a block of b
 #: vectors: per n * b the iterates, their products with M and the
-#: polish buffers, per b^2 the Rayleigh-Ritz pair and sygvd workspace.
-#: The tracemalloc peak measured at n = 200..20000, p = 1, 3, 7 and
-#: b = 10..308 fits under the sum with the polish term.
+#: polish buffers, per b^2 the Rayleigh-Ritz pair and eigh workspace.
 _SUBSET_BYTES_PER_NB = 48
+#: Peak bytes of the band Cholesky per n * s, for blocks of s rows: the
+#: work array of the blocks and their couplings (s + w <= 1.5 s doubles
+#: a row), the inverses (s) and the identity padding of the last block.
+#: The tracemalloc peak measured at n = 200..20000, p = 1, 3, 7 and
+#: b = 10..308 on the subset path, and n = 400..1205, p = 1..7 on the
+#: dense one, fits under the sum of the terms.
+_FACTOR_BYTES_PER_NS = 24
 #: Eigenvectors polished at a time; bounds the extended-precision buffers.
 _POLISH_BLOCK = 16
 #: Subspace iteration: iteration cap, and the backward error
@@ -95,21 +106,35 @@ def _block_size(k: int | None, n: int) -> int | None:
     return 2 * k + 8
 
 
-def _check_solve_fits(n: int, width: int, k: int | None = None) -> None:
-    """Raise ResourceError if the solve of n unknowns that runs exceeds physical memory.
+def _factor_block(n: int, w: int) -> int:
+    """Rows per block of the band Cholesky of n unknowns and bandwidth w.
+
+    Blocks of 32 rows balance the per-block Python steps against the
+    block products, which grow with the block; at least 2w rows keep the
+    w-column updates below half of those products.
+    """
+    return min(n, max(32, 2 * w))
+
+
+def _solve_bytes(n: int, width: int, k: int | None = None) -> int:
+    """Peak bytes of the solve of n unknowns that runs.
 
     ``width`` is the number of stored diagonals of the wider band; ``k``
     asks for the k smallest pairs, which need O(n (b + w)) bytes on the
     subset path instead of O(n^2).
     """
     b = _block_size(k, n)
+    need = (_POLISH_BYTES_PER_NW * n * width
+            + _FACTOR_BYTES_PER_NS * n * _factor_block(n, min(width, n) - 1))
     if b is None:
-        need = _DENSE_BYTES_PER_N2 * n * n
-        task = "dense solve"
-    else:
-        need = _SUBSET_BYTES_PER_NB * (n + b) * b
-        task = f"subset solve of {k} pairs"
-    check_memory(need + _POLISH_BYTES_PER_NW * n * width, task, f"{n} unknowns")
+        return need + _DENSE_BYTES_PER_N2 * n * n
+    return need + _SUBSET_BYTES_PER_NB * (n + b) * b
+
+
+def _check_solve_fits(n: int, width: int, k: int | None = None) -> None:
+    """Raise ResourceError if ``_solve_bytes`` exceeds physical memory."""
+    task = "dense solve" if _block_size(k, n) is None else f"subset solve of {k} pairs"
+    check_memory(_solve_bytes(n, width, k), task, f"{n} unknowns")
 
 
 def _band_rows(bands, dtype) -> np.ndarray:
@@ -153,47 +178,133 @@ def _rayleigh_quotients(k_band, m_band, vec) -> np.ndarray:
     return (forms[0] / forms[1]).astype(float)
 
 
+def _cholesky_blocks(band, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Block Cholesky factor of the symmetric positive definite matrix with lower ``band``.
+
+    Blocks of s >= w rows, w the bandwidth, make the matrix block
+    tridiagonal, with diagonal blocks D_i and subdiagonal blocks B_i.
+    Block i of the factor L is the Cholesky factor L_i of D_i - C_i C_i^T,
+    where the coupling C_i = B_i L_(i-1)^-T is nonzero only in its
+    top-right w x w corner c_i.  Rows past n are padded with the identity.
+    Returns the (count, s, s) stack of the L_i and the (count, w, w) stack
+    of the c_i (c_0 = 0).  Raises DefinitenessError, naming the matrix
+    ``name``, at the first pivot that is not > 0.
+    """
+    n = band.shape[1]
+    w = min(len(band), n) - 1
+    s = _factor_block(n, w)
+    count = -(-n // s)
+    # rows[i, r, w + j] holds entry (i s + r, i s + j) for j = r - w .. r:
+    # [:, :, w:] the lower triangles of the D_i, [:, :w, :w] the corners of the B_i
+    rows = np.zeros((count, s, s + w))
+    r = np.arange(s)
+    for k in range(w + 1):
+        # entry (g, g - k) of every row g, and 1 on the padded diagonal
+        diagonal = np.full(count * s, float(k == 0))
+        diagonal[k:n] = band[k, : n - k]
+        rows[:, r, w + r - k] = diagonal.reshape(count, s)
+    low = rows[:, :, w:]
+    coupling = np.zeros((count, w, w))
+    for i in range(count):
+        if i and w:
+            # c_i^T = L_(i-1)^-1 B_i^T, where only L_(i-1)'s trailing corner meets B_i
+            coupling[i] = np.linalg.solve(low[i - 1, s - w :, s - w :], rows[i, :w, :w].T).T
+            low[i, :w, :w] -= coupling[i] @ coupling[i].T
+        try:
+            low[i] = np.linalg.cholesky(low[i])
+        except np.linalg.LinAlgError:
+            low[i] = _unblocked_cholesky(low[i], i * s, name)
+    return low, coupling
+
+
+def _unblocked_cholesky(a, offset: int, name: str) -> np.ndarray:
+    """Cholesky factor of the lower triangle of ``a``, one column at a time.
+
+    Raises DefinitenessError at the first pivot that is not > 0, as the
+    1-based row ``offset + j + 1`` that LAPACK potrf reports for the whole matrix.
+    """
+    low = np.tril(a)
+    for j in range(len(low)):
+        pivot = low[j, j] - low[j, :j] @ low[j, :j]
+        if not pivot > 0:
+            raise DefinitenessError(f"{name} is not positive definite: Cholesky pivot "
+                                    f"{offset + j + 1} failed", pivot=offset + j + 1)
+        low[j, j] = np.sqrt(pivot)
+        low[j + 1 :, j] = (low[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    return low
+
+
+class _BandCholesky:
+    """Solves with the factor L of ``_cholesky_blocks``.
+
+    Each diagonal block L_i is kept as its inverse, so a solve is one
+    batched product with the inverses plus a w-column update per block:
+    y_i = L_i^-1 x_i - (L_i^-1 C_i) y_(i-1) forward,
+    x_i = L_i^-T y_i - (L_i^-T C_(i+1)^T) x_(i+1) backward.
+    """
+
+    def __init__(self, band, name: str):
+        low, coupling = _cholesky_blocks(band, name)
+        s, w = low.shape[1], coupling.shape[1]
+        self.n, self.w = band.shape[1], w
+        self.inv = np.linalg.inv(low)
+        del low  # frees the factor's work array before the products below
+        self.inv *= np.tri(s)  # exactly lower triangular, as LU leaves it only nearly
+        # the nonzero columns of L_i^-1 C_i and L_i^-T C_(i+1)^T
+        self.lower = self.inv[:, :, :w] @ coupling
+        self.upper = (self.inv[:-1, s - w :].transpose(0, 2, 1)
+                      @ coupling[1:].transpose(0, 2, 1))
+
+    def _block_products(self, inv, x) -> np.ndarray:
+        count, s, _ = inv.shape
+        pad = np.zeros((count * s, x.shape[1]))
+        pad[: self.n] = x
+        return inv @ pad.reshape(count, s, -1)
+
+    def solve_lower(self, x) -> np.ndarray:
+        """L^-1 x for an n x c array x."""
+        y = self._block_products(self.inv, x)
+        # zip hands out views block by block, cheaper than indexing y per step
+        for block, previous, lower in zip(y[1:], y[:-1, y.shape[1] - self.w :],
+                                          self.lower[1:]):
+            block -= lower @ previous
+        return y.reshape(-1, x.shape[1])[: self.n]
+
+    def solve_upper(self, x) -> np.ndarray:
+        """L^-T x for an n x c array x."""
+        y = self._block_products(self.inv.transpose(0, 2, 1), x)
+        for block, following, upper in zip(y[-2::-1], y[:0:-1, : self.w], self.upper[::-1]):
+            block -= upper @ following
+        return y.reshape(-1, x.shape[1])[: self.n]
+
+
 def _dense_vectors(K: SymBandMatrix, M: SymBandMatrix) -> np.ndarray:
-    """Every eigenvector of the pair, by sygvd on the dense triangles."""
-    n = K.n
-    # the transposes are Fortran-ordered views of the same lower
-    # triangles, which LAPACK overwrites in place without copying
-    a, b = K.to_dense().T, M.to_dense().T
-    sygvd = get_lapack_funcs("sygvd", (a, b))
-    _, vec, info = sygvd(a, b, uplo="U", overwrite_a=1, overwrite_b=1)
-    if info > n:
-        raise DefinitenessError(
-            f"M is not positive definite: Cholesky pivot {info - n} failed",
-            pivot=info - n)
-    if info:
-        raise NumericError(f"generalized eigensolve failed with LAPACK info {info}")
-    return vec
+    """Every eigenvector of the pair, from eigh of L^-1 K L^-T with M = L L^T."""
+    factor = _BandCholesky(M.data, "M")
+    # the eigenvectors z of L^-1 K L^-T give the pencil's as L^-T z
+    z = np.linalg.eigh(factor.solve_lower(factor.solve_lower(K.to_dense()).T))[1]
+    return factor.solve_upper(z)
 
 
 def _subspace_vectors(K: SymBandMatrix, M: SymBandMatrix, k: int, b: int) -> np.ndarray:
     """The k smallest M-orthonormal eigenvectors, by subspace iteration on K^-1 M."""
     n = K.n
-    k_band = K.data[: min(K.bandwidth + 1, n)]
-    m_band = M.data[: min(M.bandwidth + 1, n)]
-    pbtrf, pbtrs, sygvd = get_lapack_funcs(("pbtrf", "pbtrs", "sygvd"), (k_band,))
-    info = pbtrf(m_band, lower=1)[1]
-    if info > 0:
-        raise DefinitenessError(
-            f"M is not positive definite: Cholesky pivot {info} failed", pivot=info)
-    k_factor, info = pbtrf(k_band, lower=1)
-    if info > 0:
-        raise NumericError(f"K is not positive definite: Cholesky pivot {info} failed")
-    m_rows = _band_rows((m_band,), float)
+    _cholesky_blocks(M.data, "M")  # M must be positive definite; its factor is unused
+    factor = _BandCholesky(K.data, "K")
+    m_rows = _band_rows((M.data,), float)
     x = np.arange(1, n + 1) / (n + 1)
     vec = np.sin(np.pi * np.outer(x, np.arange(1, b + 1)))
     for it in range(1, _MAX_ITERATIONS + 1):
         m_vec = _band_products(m_rows, vec)[:, 0]
-        y = pbtrs(k_factor, m_vec, lower=1)[0]
+        y = factor.solve_upper(factor.solve_lower(m_vec))
         # K y = M vec, so y^T K y = y^T M vec
-        theta, q, info = sygvd(y.T @ m_vec, y.T @ _band_products(m_rows, y)[:, 0], uplo="U")
-        if info:
-            raise NumericError(f"Rayleigh-Ritz step failed with LAPACK info {info}")
-        vec = y @ q
+        try:
+            inv = np.linalg.inv(np.linalg.cholesky(y.T @ _band_products(m_rows, y)[:, 0]))
+        except np.linalg.LinAlgError:
+            raise NumericError("Rayleigh-Ritz step failed: the block's Gram matrix "
+                               "y^T M y is not positive definite") from None
+        theta, q = np.linalg.eigh(inv @ (y.T @ m_vec) @ inv.T)
+        vec = y @ (inv.T @ q)
         if (theta[k - 1] / theta[-1]) ** it <= np.finfo(float).eps:
             return vec[:, :k]
     raise NumericError(f"subspace iteration for {k} pairs of {n} unknowns did not "
@@ -245,10 +356,11 @@ def solve_generalized(K: SymBandMatrix, M: SymBandMatrix,
     ValueError
         If the sizes differ or a band holds a NaN or infinity.
     DefinitenessError
-        If M is not positive definite (reports the failing pivot).
+        If M is not positive definite, or on the subset path K (reports
+        the failing pivot).
     NumericError
-        On the subset path, if K is not positive definite or the
-        iteration does not converge.
+        On the subset path, if the iteration does not converge or its
+        pairs miss the backward-error bound.
     ResourceError
         Before allocating, if the solve would not fit in physical memory.
     """

@@ -510,3 +510,33 @@ def test_traced_run_prints_the_untraced_output(tmp_path, command):
     assert traced.stdout == plain.stdout
     names = {span[2] for span in json.loads(spans.read_text())["spans"]}
     assert "cli.main" in names
+
+
+#: Runs ``python -m igaspectra`` with every scipy import refused, then
+#: prints the scipy modules that were loaded anyway to stderr.
+_SCIPY_BLOCKED = """\
+import runpy, sys
+sys.modules["scipy"] = None  # an import of scipy or of any submodule now raises
+try:
+    runpy.run_module("igaspectra", run_name="__main__", alter_sys=True)
+finally:
+    print(sorted(name for name, module in sys.modules.items()
+                 if name.split(".")[0] == "scipy" and module is not None), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command", [
+    "spectrum --dim 1 --degree 3 --elements 10",
+    "condition --dim 3 --degree 5 --elements 16",
+    "convergence --dim 1 --degree 3 --elements 10,20,40",  # the last two on the subset path
+])
+def test_every_command_runs_without_scipy(command):
+    """numpy is the only runtime dependency: each command prints the same
+    bytes with scipy blocked as without, and loads no scipy module."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    blocked = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED, *command.split()],
+                             env=env, capture_output=True, text=True, timeout=300)
+    plain = subprocess.run([sys.executable, "-m", "igaspectra", *command.split()],
+                           env=env, capture_output=True, text=True, timeout=300)
+    assert (blocked.returncode, blocked.stderr) == (0, "[]\n")
+    assert plain.returncode == 0 and blocked.stdout == plain.stdout

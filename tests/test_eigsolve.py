@@ -12,9 +12,8 @@ from scipy.linalg.lapack import dpotrf
 from igaspectra import (DefinitenessError, KnotVector, NumericError, ResourceError,
                         Spectrum, SymBandMatrix, build_1d, convergence_table,
                         eigenfunction_errors, eigsolve, solve_1d, solve_generalized)
-from igaspectra.eigsolve import (_DENSE_BYTES_PER_N2, _POLISH_BYTES_PER_NW,
-                                 _SUBSET_BYTES_PER_NB, _band_products, _band_rows,
-                                 _rayleigh_quotients)
+from igaspectra.eigsolve import (_BandCholesky, _band_products, _band_rows,
+                                 _factor_block, _rayleigh_quotients, _solve_bytes)
 
 from oracles import rq_polish_dense
 
@@ -166,6 +165,61 @@ def test_indefinite_mass_pivot_matches_lapack_cholesky(quadrature, row,
         assert err.value.pivot == pivot
 
 
+def _random_spd_band(n, bandwidth, seed):
+    """A diagonally dominant, so positive definite, SymBandMatrix of ``bandwidth``,
+    with random entries in the band storage past the matrix, which no solve reads."""
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(-1.0, 1.0, (bandwidth + 1, n))
+    data[0] = 1.0 + np.abs(SymBandMatrix(n, bandwidth, data).to_dense()).sum(axis=1)
+    return SymBandMatrix(n, bandwidth, data)
+
+
+_S = _factor_block(10**4, 7)  # rows per block at bandwidth <= 16
+
+
+@pytest.mark.parametrize("n", [1, _S - 1, _S, _S + 1, 3 * _S + 5])
+@pytest.mark.parametrize("bandwidth", [*range(8), 20, "n"])
+def test_band_cholesky_solves_match_scipy(n, bandwidth):
+    """L^-1 x and L^-T L^-1 x agree with scipy's dense Cholesky solves,
+    for one and several blocks, a short last block and a bandwidth >= n."""
+    bandwidth = n + 2 if bandwidth == "n" else bandwidth
+    band = _random_spd_band(n, bandwidth, seed=100 * n + bandwidth)
+    A = band.to_dense()
+    x = np.random.default_rng(n).standard_normal((n, 3))
+    factor = _BandCholesky(band.data, "A")
+    lower = sla.solve_triangular(sla.cholesky(A, lower=True), x, lower=True)
+    np.testing.assert_allclose(factor.solve_lower(x), lower,
+                               rtol=0, atol=1e-14 * np.abs(lower).max())
+    full = sla.cho_solve(sla.cho_factor(A), x)
+    got = factor.solve_upper(factor.solve_lower(x))
+    np.testing.assert_allclose(got, full, rtol=0, atol=1e-14 * np.abs(full).max())
+
+
+@pytest.mark.parametrize("row,entry", [
+    (5, "diagonal"),  # inside the first block
+    (_S, "diagonal"),  # the first row of the second block
+    (2 * _S, "diagonal"),  # the first row of the third block
+    (_S - 1, "subdiagonal"),  # fails row _S through the coupling to the first block
+    (3 * _S + 3, "diagonal"),  # inside the short last block
+])
+def test_indefinite_mass_pivot_matches_lapack_across_blocks(row, entry):
+    """The failing pivot, reported by the dense and the subset path, is
+    the one dpotrf finds, wherever it sits in the block structure."""
+    n = 3 * _S + 5
+    K = _random_spd_band(n, 7, seed=1)
+    M = _random_spd_band(n, 7, seed=2)
+    if entry == "diagonal":
+        M.data[0, row] = -0.5
+    else:  # entry (row + 1, row) larger than the geometric mean of its diagonals
+        M.data[1, row] = 2.0 * np.sqrt(M.data[0, row] * M.data[0, row + 1])
+    pivot = dpotrf(M.to_dense(), lower=1)[1]
+    assert pivot == (row + 2 if entry == "subdiagonal" else row + 1)
+    for k in (None, 6):
+        with pytest.raises(DefinitenessError) as err:
+            solve_generalized(K, M, k=k)
+        assert err.value.pivot == pivot
+
+
 @pytest.mark.parametrize("storage", ["dense", "sparse"])
 @pytest.mark.parametrize("which", ["K", "M"])
 def test_rejects_matrices_not_in_band_storage(storage, which):
@@ -209,7 +263,7 @@ def test_dense_solve_peak_stays_within_its_estimate(storage):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _DENSE_BYTES_PER_N2 * n * n + _POLISH_BYTES_PER_NW * n * width
+    assert peak <= _solve_bytes(n, width)
     if storage == "band":
         assert peak <= 33 * n * n  # the banded polish adds next to nothing
 
@@ -275,14 +329,14 @@ def test_subset_eigenfunctions_carry_less_noise_than_the_dense_solve():
 @pytest.mark.parametrize("degree,n_elements,k", [(1, 2000, 1), (7, 2000, 6), (1, 201, 95)])
 def test_subset_solve_peak_stays_within_its_estimate(degree, n_elements, k):
     _, K, M = build_1d(degree, n_elements)
-    n, b = K.n, 2 * k + 8
+    n = K.n
     tracemalloc.start()
     try:
         solve_generalized(K, M, k=k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _SUBSET_BYTES_PER_NB * (n + b) * b + _POLISH_BYTES_PER_NW * n * (degree + 1)
+    assert peak <= _solve_bytes(n, degree + 1, k)
 
 
 def test_subset_solve_refuses_before_allocating():

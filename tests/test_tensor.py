@@ -1,9 +1,6 @@
 """Tensor products: Kronecker structure, eigenvalue sums, size caps."""
 
 import itertools
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -12,7 +9,6 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import igaspectra
 from igaspectra import pipeline
 from igaspectra import (ConfigurationError, ResourceError, Spectrum,
                         build_1d, condition_report, condition_summary,
@@ -188,13 +184,3 @@ def test_sizes_reports_per_axis_dof():
     system = TensorSystem(((K1, M1), (np.eye(7), np.eye(7))))
     assert system.sizes == (5, 7)
     assert system.dim == 2
-
-
-def test_import_does_not_load_scipy_sparse():
-    # the Kronecker oracle is the only sparse user, and it lives in the tests
-    src = os.path.dirname(os.path.dirname(igaspectra.__file__))
-    code = "import sys, igaspectra; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
