@@ -475,7 +475,7 @@ def test_benchmark_workload_passes_its_output_checks(name):
 def test_convergence_output_does_not_depend_on_the_blas_thread_count():
     """convergence solves its axis pencil on the subset path in every
     dimension, and its output is the same at one and two BLAS threads (the
-    dense sygvd path's is not)."""
+    dense path's is not)."""
     for command in ("convergence --dim 1 --degree 7 --elements 100,200,400,800 --modes 1,6",
                     "convergence --dim 3 --degree 7 --elements 250,500,1000,2000"):
         outputs = []

@@ -318,7 +318,7 @@ def test_subset_eigenvalues_match_the_dense_solve(degree, n_elements, k):
 
 
 def test_subset_eigenfunctions_carry_less_noise_than_the_dense_solve():
-    # sygvd leaves eps * lambda_max noise in every vector; the iteration does not
+    # the dense reduction leaves eps * lambda_max noise in every vector; the iteration does not
     _, K, M = build_1d(7, 400)
     space = KnotVector(7, 400)
     dense = eigenfunction_errors(solve_generalized(K, M), space, (1, 6))
