@@ -12,7 +12,8 @@ Three subcommands:
 once, and gives each command only the flags its runner reads; JSON echoes
 the parsed namespace as ``config`` without ``out``.  Results go to stdout
 or, with ``--out``, to a file written atomically (temporary file in the
-target directory, renamed on success).  CSV uses one header line and 17
+target directory, renamed on success), in blocks of ``_BLOCK_ROWS`` rows
+formatted as they are written.  CSV uses one header line and 17
 significant digits; JSON mirrors the same data.  Exit codes: 0 success,
 2 configuration error (``configuration error: <message>`` on stderr,
 nothing on stdout, whether argparse or the library refused), 3
@@ -24,6 +25,8 @@ import json
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from . import pipeline
 from .errors import ConfigurationError, NumericError, ResourceError
@@ -52,20 +55,68 @@ def run_condition(args) -> dict:
     return {"columns": {name: [getattr(rep, name)] for name in names}}
 
 
-def render(result: dict, fmt: str) -> str:
-    """The text of a result: its ``columns`` as CSV lines or JSON rows."""
-    columns = result["columns"]
+#: Rows per output block: ``main`` formats and writes this many at a time.
+_BLOCK_ROWS = 8192
+
+
+def _column_text(values: np.ndarray, encode) -> list:
+    """``encode(values)``, called once per run of bitwise-equal neighbours.
+
+    A 2D/3D spectrum repeats each sum once per permutation of its axis
+    indices, and the copies sit next to each other after the sort.  Bits,
+    not ``==``, decide equality, so -0.0 and 0.0 stay apart.
+    """
+    bits = values.view(np.int64) if values.dtype.kind == "f" else values
+    starts = np.empty(len(values), bool)
+    starts[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    if starts.all():
+        return encode(values)
+    texts = encode(values[starts])
+    return [texts[k] for k in (np.cumsum(starts) - 1).tolist()]
+
+
+def _csv_text(values: np.ndarray) -> list:
+    # one %-format over the whole block is faster than one per value
+    fmt = "%.17g " if values.dtype.kind == "f" else "%d "
+    return (fmt * len(values) % tuple(values.tolist())).split()
+
+
+def _json_text(values: np.ndarray) -> list:
+    # json's own encoder spells each number, NaN and Infinity included
+    return json.dumps(values.tolist())[1:-1].split(", ")
+
+
+def render(result: dict, fmt: str, start: int = 0, stop: int | None = None) -> str:
+    """The text of rows ``start:stop`` (at least one) of a result's ``columns``,
+    as CSV lines or JSON rows.
+
+    The block that starts at row 0 carries the CSV header or the JSON
+    head, and the block that reaches the last row the CSV rate row or
+    the JSON close, so consecutive blocks concatenate to the whole text.
+    """
+    columns = {k: np.asarray(v) for k, v in result["columns"].items()}
     header = list(columns)
+    n = len(columns[header[0]])
+    last = stop is None or stop >= n
     if fmt == "json":
-        doc = {k: v for k, v in result.items() if k != "columns"}
-        doc["rows"] = [dict(zip(header, row)) for row in zip(*columns.values())]
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    # one %-format per line, chosen once from the column types
-    line = ",".join("%d" if isinstance(col[0], int) else "%.17g"
-                    for col in columns.values())
-    lines = [",".join(header)] + [line % row for row in zip(*columns.values())]
+        keys = sorted(header)
+        texts = [_column_text(columns[k][start:stop], _json_text) for k in keys]
+        row = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in keys) + "\n    }"
+        body = ("\n" if start == 0 else ",\n") + ",\n".join(map(row.__mod__, zip(*texts)))
+        if start == 0:
+            # rows sorts after config and rates: the head is the document
+            # up to its empty rows list
+            doc = {k: v for k, v in result.items() if k != "columns"}
+            doc["rows"] = []
+            body = json.dumps(doc, indent=2, sort_keys=True)[:-len("]\n}")] + body
+        return body + ("\n  ]\n}\n" if last else "")
+    texts = [_column_text(col[start:stop], _csv_text) for col in columns.values()]
+    lines = list(map(",".join, zip(*texts)))
+    if start == 0:
+        lines.insert(0, ",".join(header))
     rates = result.get("rates")
-    if rates is not None:
+    if last and rates is not None:
         rate_row = {k: rates.get(k, "") for k in header}
         rate_row.update({header[0]: "rate", "h": ""})
         lines.append(",".join(v if isinstance(v, str) else "%.17g" % v
@@ -74,8 +125,9 @@ def render(result: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` by ``text`` atomically, with the mode ``open(path, "w")`` gives."""
+def _write_atomic(path: str, blocks) -> None:
+    """Replace ``path`` by the concatenated ``blocks`` atomically, with the mode
+    ``open(path, "w")`` gives."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         mode = os.stat(path).st_mode & 0o777
@@ -86,7 +138,7 @@ def _write_atomic(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".igaspectra-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
             fh.flush()
             os.fchmod(fh.fileno(), mode)
             os.fsync(fh.fileno())
@@ -171,11 +223,14 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         result = _RUNNERS[args.command](args)
         result["config"] = {k: v for k, v in vars(args).items() if k != "out"}
-        text = render(result, args.format)
+        n = len(next(iter(result["columns"].values())))
+        # each block is formatted when the writer asks for it
+        blocks = (render(result, args.format, start, start + _BLOCK_ROWS)
+                  for start in range(0, n, _BLOCK_ROWS))
         if args.out is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(blocks)
         else:
-            _write_atomic(args.out, text)
+            _write_atomic(args.out, blocks)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,8 +174,9 @@ def _reference_text(argv):
     return render_rows_reference(rows, args.format, rates, config)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("argv", [
+# the 3D mesh of 20 elements prints 9,261 rows: more than one output
+# block, and not a multiple of it
+BYTE_CASES = [
     ["spectrum", "--dim", "1", "--degree", "3", "--elements", "12"],
     ["spectrum", "--dim", "1", "--degree", "7", "--elements", "1"],
     ["spectrum", "--dim", "2", "--degree", "4", "--elements", "6",
@@ -192,12 +194,111 @@ def _reference_text(argv):
     ["condition", "--dim", "1", "--degree", "3", "--elements", "50"],
     ["condition", "--dim", "2", "--degree", "5", "--elements", "20"],
     ["condition", "--dim", "3", "--degree", "7", "--elements", "10"],
-])
+    ["spectrum", "--dim", "3", "--degree", "3", "--elements", "20"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", BYTE_CASES)
 def test_output_bytes_match_row_dict_reference(capsys, argv, fmt):
     argv = argv + ["--format", fmt]
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == _reference_text(argv)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 10**6])
+def test_output_bytes_do_not_depend_on_the_block_size(capsys, monkeypatch, block_rows):
+    """Blocks of one row put a boundary before the rate row and between
+    every two JSON rows; one block of 10^6 rows holds the whole output."""
+    from igaspectra import cli
+
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    for argv in BYTE_CASES:
+        for fmt in ("csv", "json"):
+            full = argv + ["--format", fmt]
+            code, out, _ = run(capsys, *full)
+            assert code == 0
+            assert out == _reference_text(full), (block_rows, full)
+
+
+def test_render_spells_special_floats_as_json_and_csv_do():
+    """Non-finite values, signed zeros, subnormals and runs of repeats,
+    rendered whole and in blocks of 2, match the reference encoders."""
+    from igaspectra.cli import render
+
+    special = [0.0, -0.0, -0.0, 0.0, 5e-324, 5e-324, float("inf"), float("inf"),
+               float("-inf"), float("nan"), float("nan"), 0.1, 0.1, 1e308]
+    columns = {"rank": np.arange(1, len(special) + 1),
+               "value": np.array(special),
+               "mirror": -np.array(special[::-1])}
+    config = {"command": "spectrum", "dim": 3}
+    rows = [{"rank": int(r), "value": v, "mirror": m}
+            for r, v, m in zip(columns["rank"], special, columns["mirror"].tolist())]
+    result = {"columns": columns, "config": config}
+    expected = {"json": json.dumps({"config": config, "rows": rows}, indent=2,
+                                   sort_keys=True) + "\n",
+                "csv": render_rows_reference(rows, "csv")}
+    for fmt, text in expected.items():
+        assert render(result, fmt) == text
+        assert "".join(render(result, fmt, start, start + 2)
+                       for start in range(0, len(special), 2)) == text
+
+
+def test_out_is_all_or_nothing_when_a_later_block_fails(capsys, monkeypatch, tmp_path):
+    from igaspectra import cli
+
+    real_render, calls = cli.render, []
+
+    def render_once(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise MemoryError("synthetic allocation failure")
+        return real_render(*args)
+
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 10)
+    monkeypatch.setattr(cli, "render", render_once)
+    target = tmp_path / "spectrum.csv"
+    code, stdout, err = run(capsys, "spectrum", "--dim", "2", "--degree", "3",
+                            "--elements", "6", "--out", str(target))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("out of memory")
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_spectrum_output_streams_in_bounded_memory(tmp_path):
+    """At d = 3, n = 30 (29,791 rows) the command peaked at 158 bytes per
+    row, most of it one output block; the bound leaves a quarter of margin.
+    Rendering the whole text at once held 400 bytes per row."""
+    out = tmp_path / "spectrum.csv"
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", "--dim", "3", "--degree", "3", "--elements", "30",
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 200 * 31**3
+
+
+def test_spectrum_too_large_for_memory_is_refused_before_solving(capsys, monkeypatch):
+    """With 32 MiB of physical memory, 3D n = 100 (1.03M rows, ~50 MB) is
+    refused before anything is allocated."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**13}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    tracemalloc.start()
+    try:
+        code, stdout, err = run(capsys, "spectrum", "--dim", "3", "--degree", "3",
+                                "--elements", "100")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, stdout) == (3, "")
+    assert err.startswith("numerical error: spectrum would need ")
+    assert "GiB for 1030301 modes" in err
+    assert peak < 2**20
 
 
 def test_byte_reference_covers_a_saturated_rate(capsys):
