@@ -54,10 +54,13 @@ class ExactSpectrum:
         """The ``count`` smallest exact eigenvalues, ascending."""
         check_int("count", count, 1)
         d = self.dim
-        # enumerate index boxes, from the d-th root of `count` up by
-        # 1.25 per step, until the box provably holds the `count`
-        # smallest sums of d squares
-        J = max(2, math.ceil(count ** (1.0 / d)))
+        # enumerate index boxes, up by 1.25 per step, until the box
+        # provably holds the `count` smallest sums of d squares; the first
+        # J is the radius whose ball's positive orthant has volume `count`
+        # (J = count, (4 count / pi)^(1/2), (6 count / pi)^(1/3)), plus 1
+        # for the lattice points that lie on the orthant's faces
+        orthant = math.pi ** (d / 2) / math.gamma(d / 2 + 1) / 2**d
+        J = math.ceil((count / orthant) ** (1.0 / d)) + 1
         while True:
             j2 = np.arange(1, J + 1) ** 2
             sums = j2

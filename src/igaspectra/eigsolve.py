@@ -10,7 +10,12 @@ time, to report the first failing pivot as LAPACK potrf numbers it.
 
 * every pair, by the Cholesky reduction M = L L^T: the eigenvectors z
   of L^-1 K L^-T, from np.linalg.eigh (divide and conquer, Gu &
-  Eisenstat, SIMAX 16, 1995), give the pencil's as L^-T z;
+  Eisenstat, SIMAX 16, 1995), give the pencil's as L^-T z.  A pencil of
+  at least 128 unknowns whose bands are persymmetric (J K J = K and
+  J M J = M, J the reversal, as on a uniform mesh treated alike at both
+  ends) is first folded into two half-size pencils of the same
+  bandwidth (Cantoni & Butler, Linear Algebra Appl. 13, 1976), each
+  reduced so, at about a quarter of the memory and time;
 * the k smallest pairs, when asked for and the pencil has more than
   b = 2k + 8 unknowns, by block subspace iteration on K^-1 M (Bathe &
   Wilson 1972; Saad, Numerical Methods for Large Eigenvalue Problems,
@@ -36,7 +41,11 @@ Two accuracy details on top of either path:
   vector: the quotient is quadratically insensitive to the eigenvector
   error, which brings the smallest eigenvalues to near machine-relative
   accuracy.  The polish runs at every size, so the eigenvalues do not
-  depend on whether the caller keeps the eigenvectors.
+  depend on whether the caller keeps the eigenvectors.  Folded vectors
+  are polished against the full pencil too, once they are unfolded; as
+  the assembled pencils are persymmetric only to rounding, each pair of
+  near-equal eigenvalues from opposite halves is first re-resolved by a
+  2 x 2 Rayleigh-Ritz step against the full pencil.
 * Eigenvector signs are fixed so each vector's largest-magnitude entry
   is positive, making results reproducible across runs.
 """
@@ -93,6 +102,17 @@ _SUBSET_BYTES_PER_NB = 48
 _FACTOR_BYTES_PER_NS = 24
 #: Eigenvectors polished at a time; bounds the extended-precision buffers.
 _POLISH_BLOCK = 16
+#: The dense path folds a pencil of at least ``_FOLD_MIN_N`` unknowns whose
+#: bands are persymmetric within ``_PERSYMMETRY_TOL`` of their largest entry
+#: (test_assembled_pair_is_persymmetric pins the assembled pencils there;
+#: their largest defect is 2.7e-13) into two half-size pencils.  Below
+#: that size the dense solve costs little, and the fold's lambda_1 on the
+#: coarse, ill-conditioned meshes of high degree is less accurate.
+_FOLD_MIN_N = 128
+_PERSYMMETRY_TOL = 1e-12
+#: Relative gap below which two eigenvalues from opposite halves of a
+#: fold are taken for one end-localised pair and re-resolved together.
+_PAIR_GAP = 1e-9
 #: Subspace iteration: iteration cap, and the backward error
 #: |K u - lambda M u| / ((|K| + |lambda| |M|) |u|) a returned pair must meet.
 _MAX_ITERATIONS = 200
@@ -166,15 +186,24 @@ def _rayleigh_quotients(k_band, m_band, vec) -> np.ndarray:
     K and M come as lower bands (SymBandMatrix storage); ``_POLISH_BLOCK``
     columns at a time bound the extended-precision buffers.
     """
-    n, count = vec.shape
-    rows = _band_rows((k_band, m_band), np.longdouble)
-    # one extended-precision block, so the einsum below casts nothing
-    block = np.empty((n, min(count, _POLISH_BLOCK)), dtype=np.longdouble)
-    forms = np.empty((2, count), dtype=np.longdouble)
-    for c in range(0, count, _POLISH_BLOCK):
-        v = block[:, : min(_POLISH_BLOCK, count - c)]
-        v[...] = vec[:, c : c + v.shape[1]]
-        forms[:, c : c + v.shape[1]] = np.einsum("ib,imb->mb", v, _band_products(rows, v))
+    return _block_quotients(_band_rows((k_band, m_band), np.longdouble),
+                            (vec[:, c : c + _POLISH_BLOCK]
+                             for c in range(0, vec.shape[1], _POLISH_BLOCK)))
+
+
+def _block_quotients(rows, blocks) -> np.ndarray:
+    """``_rayleigh_quotients`` of the columns of ``blocks``, n x c arrays of
+    c <= ``_POLISH_BLOCK`` columns, the first of them the widest, with
+    ``rows`` the extended-precision ``_band_rows`` of K and M."""
+    buffer, forms = None, []
+    for x in blocks:
+        if buffer is None:
+            # one extended-precision block, so the einsum below casts nothing
+            buffer = np.empty(x.shape, dtype=np.longdouble)
+        v = buffer[:, : x.shape[1]]
+        v[...] = x
+        forms.append(np.einsum("ib,imb->mb", v, _band_products(rows, v)))
+    forms = np.concatenate(forms, axis=1)
     return (forms[0] / forms[1]).astype(float)
 
 
@@ -286,6 +315,123 @@ def _dense_vectors(K: SymBandMatrix, M: SymBandMatrix) -> np.ndarray:
     return factor.solve_upper(z)
 
 
+def _persymmetric(band) -> bool:
+    """Whether every diagonal of ``band`` equals its reverse within
+    ``_PERSYMMETRY_TOL`` of the largest entry: J A J = A, J the reversal."""
+    n = band.shape[1]
+    k, i = np.ogrid[: min(len(band), n), :n]
+    a = np.where(i < n - k, band[: len(k)], 0.0)
+    # entry (i + k, i) mirrors to (n - 1 - i, n - 1 - k - i); modulo n the
+    # zeros past the matrix mirror to each other
+    mirror = a[k, (n - 1 - k - i) % n]
+    return np.abs(a - mirror).max() <= _PERSYMMETRY_TOL * np.abs(a).max()
+
+
+def _half_bands(band) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bands of A11 + A12 J and A11 - A12 J, the halves of the
+    persymmetric A folded.
+
+    With m = n // 2 and Q = [[I, I], [J, -J]] / sqrt 2 (a centre row e_m
+    between the blocks when n is odd), Q^T A Q = diag(A11 + A12 J,
+    A11 - A12 J), where A11 is the leading m x m block and (A12 J)(i, j) =
+    A(i, n - 1 - j).  That corner lies within the bandwidth w of the
+    fold, so both halves keep bandwidth w.  For odd n the plus half also
+    holds the centre row, whose off-diagonal entries carry a factor sqrt 2.
+    """
+    n = band.shape[1]
+    m = n // 2
+    w = min(len(band), n) - 1
+    k, i = np.ogrid[: w + 1, :m]
+    inside = i + k < m
+    # entry (i + k, i) of A11, and A(i + k, n - 1 - i) on diagonal n - 1 - 2 i - k
+    a11 = np.where(inside, band[: w + 1, :m], 0.0)
+    d = n - 1 - 2 * i - k
+    near = inside & (d <= w)
+    corner = np.zeros_like(a11)
+    corner[near] = band[d[near], (i + k)[near]]
+    plus, minus = a11 + corner, a11 - corner
+    if n % 2:
+        plus = np.pad(plus, ((0, 0), (0, 1)))
+        k = np.arange(1, min(w, m) + 1)
+        plus[0, m] = band[0, m]
+        plus[k, m - k] = np.sqrt(2.0) * band[k, m - k]
+    return plus[: min(w, n - m - 1) + 1], minus[: min(w, m - 1) + 1]
+
+
+def _unfold(y, n: int, sign: float, out=None) -> np.ndarray:
+    """The pencil's vectors Q [y; 0] or Q [0; y] from vectors y of the
+    ``_half_bands`` pencil of ``sign``: [y; sign J y] / sqrt 2, with the
+    centre row of odd n taken from the plus half and 0 in the minus one."""
+    m = n // 2
+    out = np.empty((n, y.shape[1])) if out is None else out
+    np.multiply(y[:m], np.sqrt(0.5), out=out[:m])
+    np.multiply(out[:m][::-1], sign, out=out[n - m :])
+    if n % 2:
+        out[m] = y[m] if sign > 0 else 0.0
+    return out
+
+
+def _folded_pairs(K: SymBandMatrix, M: SymBandMatrix,
+                  want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Every pair of a persymmetric pencil, from its two ``_half_bands`` pencils.
+
+    Each half is solved by ``_dense_vectors`` and its vectors unfolded
+    and polished against the full pencil.  The pencil is persymmetric
+    only to rounding, and its boundary modes come in near-degenerate
+    pairs, one localised at each end, whose sum and difference are what
+    the halves return; each pair of eigenvalues from opposite halves
+    closer than ``_PAIR_GAP`` is therefore re-resolved by a 2 x 2
+    Rayleigh-Ritz step against the full pencil and polished again.
+    Returns the unsorted eigenvalues and, if asked for, their vectors.
+    """
+    n = K.n
+    halves = []
+    for sign, bands in zip((1.0, -1.0), zip(_half_bands(K.data), _half_bands(M.data))):
+        pencil = [SymBandMatrix(h.shape[1], len(h) - 1, h) for h in bands]
+        try:
+            halves.append((_dense_vectors(*pencil), sign))
+        except DefinitenessError:
+            _cholesky_blocks(M.data, "M")  # names the pivot of M itself
+            raise
+    rows = _band_rows((K.data, M.data), np.longdouble)
+    # unfolded one polish block at a time: no n x n/2 array is held
+    lam = _block_quotients(rows, (
+        _unfold(y[:, c : c + _POLISH_BLOCK], n, sign)
+        for y, sign in halves for c in range(0, y.shape[1], _POLISH_BLOCK)))
+    plus = halves[0][0].shape[1]
+
+    def column(j):
+        half, c = divmod(j, plus)  # n <= 2 plus
+        y, sign = halves[half]
+        return _unfold(y[:, [c]], n, sign)
+
+    order = np.argsort(lam, kind="stable")
+    minus = order >= plus
+    near = np.flatnonzero((np.abs(np.diff(lam[order])) <= _PAIR_GAP * np.abs(lam[order][1:]))
+                          & (minus[1:] != minus[:-1]))
+    # (P, 2) disjoint pairs of indices into lam: a run of near neighbours keeps its first
+    pairs = order[near[~np.isin(near - 1, near)][:, None] + np.arange(2)]
+    if len(pairs):
+        u = np.stack([np.hstack([column(j) for j in pair]) for pair in pairs])
+        # the pairs split at ~1e-14 relative: U^T K U and U^T M U in extended precision
+        ul = u.astype(np.longdouble)
+        products = _band_products(rows, ul.transpose(1, 0, 2).reshape(n, -1))
+        gram = np.einsum("pia,impb->mpab", ul, products.reshape(n, 2, -1, 2)).astype(float)
+        inv = np.linalg.inv(np.linalg.cholesky(gram[1]))
+        inv_t = inv.transpose(0, 2, 1)
+        u = u @ (inv_t @ np.linalg.eigh(inv @ gram[0] @ inv_t)[1])
+        ritz = u.transpose(1, 0, 2).reshape(n, -1)
+        lam[pairs.ravel()] = _rayleigh_quotients(K.data, M.data, ritz)
+    if not want_vectors:
+        return lam, None
+    vec = np.empty((n, n))
+    for (y, sign), cols in zip(halves, (slice(0, plus), slice(plus, n))):
+        _unfold(y, n, sign, out=vec[:, cols])
+    if len(pairs):
+        vec[:, pairs.ravel()] = ritz
+    return lam, vec
+
+
 def _subspace_vectors(K: SymBandMatrix, M: SymBandMatrix, k: int, b: int) -> np.ndarray:
     """The k smallest M-orthonormal eigenvectors, by subspace iteration on K^-1 M."""
     n = K.n
@@ -330,7 +476,8 @@ def solve_generalized(K: SymBandMatrix, M: SymBandMatrix,
 
     Every eigenvalue is the extended-precision Rayleigh quotient of its
     computed eigenvector, whatever the size and whether or not the
-    vectors are returned.
+    vectors are returned.  The dense path folds a persymmetric pencil of
+    at least ``_FOLD_MIN_N`` unknowns into two half-size pencils.
 
     Parameters
     ----------
@@ -377,8 +524,11 @@ def solve_generalized(K: SymBandMatrix, M: SymBandMatrix,
         raise ValueError("K and M must hold finite band entries")
 
     b = _block_size(k, n)
-    vec = _dense_vectors(K, M) if b is None else _subspace_vectors(K, M, k, b)
-    lam = _rayleigh_quotients(K.data, M.data, vec)
+    if b is None and n >= _FOLD_MIN_N and _persymmetric(K.data) and _persymmetric(M.data):
+        lam, vec = _folded_pairs(K, M, want_vectors)
+    else:
+        vec = _dense_vectors(K, M) if b is None else _subspace_vectors(K, M, k, b)
+        lam = _rayleigh_quotients(K.data, M.data, vec)
     order = np.argsort(lam, kind="stable")[:k]
     lam = lam[order]
     if b is not None:

@@ -340,6 +340,20 @@ def dense_generalized_eigenvalues(Kd, Md):
     return rq_polish_dense(Kd, Md, lam, vec)[0]
 
 
+def generalized_eigenvalues_mpmath(Kd, Md, dps=40):
+    """Ascending eigenvalues of the float64 pair (Kd, Md), at ``dps`` digits.
+
+    The entries are taken exactly; M = L L^T and the eigenvalues of
+    L^-1 K L^-T (mpmath's Jacobi ``eigsy``) are computed at ``dps``
+    digits and rounded to float64 at the end.
+    """
+    with mpmath.workdps(dps):
+        inv = mpmath.inverse(mpmath.cholesky(mpmath.matrix(Md.tolist())))
+        C = inv * mpmath.matrix(Kd.tolist()) * inv.T
+        lam = mpmath.eigsy((C + C.T) / 2, eigvals_only=True)
+        return np.sort([float(v) for v in lam])
+
+
 def smallest_sums_of_squares(dim, count):
     """The ``count`` smallest sums j1^2 + .. + jd^2 over jk >= 1, ascending.
 

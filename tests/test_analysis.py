@@ -67,6 +67,23 @@ def test_exact_spectrum_3d_box_stays_small():
     assert np.array_equal(got, np.pi**2 * want)
 
 
+def test_exact_spectrum_3d_first_box_holds_the_count():
+    """The first box, from the octant's volume, already holds the count:
+    76^3 values (the rows of d = 3, p = 3, n = 75) peak per value as
+    81^3 (n = 80) do, where a second box once doubled the peak (50 bytes
+    per value against 26).  Whole indices round the two boxes to 2.016
+    and 1.997 times the count, hence 2% of slack."""
+    per_row = []
+    for count in (76**3, 81**3):
+        tracemalloc.start()
+        try:
+            ExactSpectrum(3).eigenvalues(count)
+            per_row.append(tracemalloc.get_traced_memory()[1] / count)
+        finally:
+            tracemalloc.stop()
+    assert per_row[0] <= 1.02 * per_row[1]
+
+
 def test_exact_spectrum_validates_input():
     with pytest.raises(ConfigurationError, match=r"dim must be in 1\.\.3, got 4"):
         ExactSpectrum(4)

@@ -12,10 +12,13 @@ from scipy.linalg.lapack import dpotrf
 from igaspectra import (DefinitenessError, KnotVector, NumericError, ResourceError,
                         Spectrum, SymBandMatrix, build_1d, convergence_table,
                         eigenfunction_errors, eigsolve, solve_1d, solve_generalized)
-from igaspectra.eigsolve import (_BandCholesky, _band_products, _band_rows,
-                                 _factor_block, _rayleigh_quotients, _solve_bytes)
+from igaspectra import pipeline
+from igaspectra.eigsolve import (_FOLD_MIN_N, _BandCholesky, _band_products, _band_rows,
+                                 _dense_vectors, _factor_block, _folded_pairs,
+                                 _persymmetric, _rayleigh_quotients, _solve_bytes)
 
-from oracles import rq_polish_dense
+from oracles import (dense_generalized_eigenvalues, generalized_eigenvalues_mpmath,
+                     rq_polish_dense)
 
 
 def test_linear_elements_reproduce_dispersion_closed_form():
@@ -266,6 +269,145 @@ def test_dense_solve_peak_stays_within_its_estimate(storage):
     assert peak <= _solve_bytes(n, width)
     if storage == "band":
         assert peak <= 33 * n * n  # the banded polish adds next to nothing
+
+
+def test_folded_values_only_solve_peaks_near_a_quarter_of_the_dense_one():
+    # two half pencils: the unfolded solve of the same pair peaks at ~26 n^2
+    _, K, M = build_1d(5, 400)
+    n = K.n
+    assert _persymmetric(K.data) and _persymmetric(M.data)
+    tracemalloc.start()
+    try:
+        solve_generalized(K, M, want_vectors=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * n * n
+    assert peak <= _solve_bytes(n, K.bandwidth + 1)
+
+
+def _persymmetric_pencil(n, bandwidth, seed):
+    """A random pair with J K J = K and J M J = M exactly, J the reversal.
+
+    K has off-diagonals in [-1.1, -1] and a diagonal above their sum by
+    0.01..0.11, M small positive off-diagonals, so the modes spread over
+    the whole matrix as on a mesh.  (The diagonally dominant bands of
+    ``_random_spd_band`` have modes localised at single rows, in pairs
+    mirrored by J and split by as little as 2e-15 relative; the unfolded
+    solve resolves those only to within their split.)
+    """
+    rng = np.random.default_rng(seed)
+    pair = []
+    for scale in (1.0, -0.1):
+        data = np.empty((bandwidth + 1, n))
+        data[1:] = scale * (-1.0 - 0.1 * rng.uniform(size=(bandwidth, n)))
+        data[0] = 2.2 * bandwidth + 0.01 + 0.1 * rng.uniform(size=n)
+        for k in range(min(bandwidth + 1, n)):
+            data[k, : n - k] = (data[k, : n - k] + data[k, n - k - 1 :: -1]) / 2
+        pair.append(SymBandMatrix(n, bandwidth, data))
+    return pair
+
+
+def _unfolded_values(K, M):
+    """The eigenvalues of the dense path without the fold, as it runs below
+    ``_FOLD_MIN_N`` unknowns: every vector from one reduction, polished."""
+    return np.sort(_rayleigh_quotients(K.data, M.data, _dense_vectors(K, M)), kind="stable")
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [_FOLD_MIN_N, _FOLD_MIN_N + 3])
+@pytest.mark.parametrize("bandwidth", range(1, 9))
+def test_fold_matches_the_unfolded_solve_on_random_persymmetric_pencils(n, bandwidth):
+    K, M = _persymmetric_pencil(n, bandwidth, seed=10 * n + bandwidth)
+    assert _persymmetric(K.data) and _persymmetric(M.data)
+    spec = solve_generalized(K, M)
+    assert np.all(_ulps(spec.eigenvalues, _unfolded_values(K, M)) <= 4)
+    assert np.array_equal(spec.eigenvalues,
+                          solve_generalized(K, M, want_vectors=False).eigenvalues)
+    Kd, Md, V = K.to_dense(), M.to_dense(), spec.eigenvectors
+    R = Kd @ V - (Md @ V) * spec.eigenvalues
+    scale = np.linalg.norm(Kd, 2) + spec.eigenvalues[-1] * np.linalg.norm(Md, 2)
+    assert np.linalg.norm(R, axis=0).max() <= 1e-14 * scale
+    assert np.abs(V.T @ Md @ V - np.eye(n)).max() <= 1e-12
+    assert np.all(V[np.abs(V).argmax(axis=0), np.arange(n)] > 0)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("bandwidth", [1, 7])
+def test_fold_helper_returns_the_pairs_of_small_pencils(n, bandwidth):
+    """Halves of 1..5 unknowns, narrower than a band of 7 diagonals or not."""
+    K, M = _persymmetric_pencil(n, bandwidth, seed=n)
+    lam, V = _folded_pairs(K, M, want_vectors=True)
+    Kd, Md = K.to_dense(), M.to_dense()
+    want = dense_generalized_eigenvalues(Kd, Md)
+    np.testing.assert_allclose(np.sort(lam), want, rtol=1e-13, atol=0)
+    assert np.abs(Kd @ V - (Md @ V) * lam).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(V.T @ Md @ V - np.eye(n)).max() <= 1e-13
+    assert np.array_equal(_folded_pairs(K, M, want_vectors=False)[0], lam)
+
+
+@pytest.mark.parametrize("quadrature,penalty", [("gauss", False), ("blended", True)])
+def test_fold_resolves_the_end_localised_top_pair(quadrature, penalty):
+    """The assembled pencils are persymmetric only to ~1e-13, so their top
+    modes are two end-localised ones ~2.5e-14 apart, not the symmetric and
+    antisymmetric pair the halves return; the fold re-resolves them."""
+    _, K, M = build_1d(5, 300, quadrature, penalty)
+    assert K.n >= _FOLD_MIN_N and _persymmetric(K.data) and _persymmetric(M.data)
+    got = solve_generalized(K, M, want_vectors=False).eigenvalues[-2:]
+    assert np.all(_ulps(got, _unfolded_values(K, M)[-2:]) <= 4)
+
+
+@pytest.mark.parametrize("n_elements", [20, 31, 40])
+def test_fold_keeps_the_digits_of_the_40_digit_eigenvalues(n_elements):
+    """The fold on p = 7 pencils of 25, 36 and 45 unknowns: its six smallest
+    and four largest eigenvalues against those of the float64 pencil at 40 digits."""
+    _, K, M = build_1d(7, n_elements)
+    want = generalized_eigenvalues_mpmath(K.to_dense(), M.to_dense())
+    got = np.sort(_folded_pairs(K, M, want_vectors=False)[0])
+    ends = np.r_[0:6, -4:0]
+    assert np.all(np.abs(got[ends] - want[ends]) <= 1e-15 * want[ends])
+
+
+def test_pencils_the_fold_skips_take_the_unfolded_path():
+    """Below ``_FOLD_MIN_N`` unknowns, and on pencils that are not persymmetric,
+    the eigenvalues are bitwise those of the dense path without the fold."""
+    _, small_K, small_M = build_1d(5, 120)
+    _, K, M = build_1d(5, 300)
+    K.data[1, 0] *= 1 + 1e-9  # one end only
+    random = (_random_spd_band(200, 4, seed=3), _random_spd_band(200, 4, seed=4))
+    assert small_K.n < _FOLD_MIN_N and not _persymmetric(K.data)
+    for K, M in ((small_K, small_M), (K, M), random):
+        got = solve_generalized(K, M, want_vectors=False).eigenvalues
+        assert np.array_equal(got, _unfolded_values(K, M))
+
+
+@pytest.mark.parametrize("row", [0, 77, 151])
+def test_fold_reports_the_failing_pivot_of_the_full_mass(row):
+    # 303 unknowns; row 151 is the centre, which only the plus half holds
+    _, K, M = build_1d(5, 300)
+    n = M.n
+    M.data[0, [row, n - 1 - row]] *= -1.0
+    assert _persymmetric(M.data)
+    pivot = dpotrf(M.to_dense(), lower=1)[1]
+    with pytest.raises(DefinitenessError) as err:
+        solve_generalized(K, M)
+    assert err.value.pivot == pivot == row + 1
+
+
+def test_spectrum_rows_solve_for_values_only(monkeypatch):
+    calls = []
+
+    def spy(K, M, want_vectors=True, k=None):
+        calls.append(want_vectors)
+        return solve_generalized(K, M, want_vectors, k)
+
+    monkeypatch.setattr(pipeline, "solve_generalized", spy)
+    for dim in (1, 2):
+        pipeline.spectrum_rows(dim, 3, 10)
+    assert calls == [False, False]
 
 
 def test_spectrum_requires_ascending_eigenvalues():
