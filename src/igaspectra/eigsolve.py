@@ -15,7 +15,7 @@ time, to report the first failing pivot as LAPACK potrf numbers it.
   J M J = M, J the reversal, as on a uniform mesh treated alike at both
   ends) is first folded into two half-size pencils of the same
   bandwidth (Cantoni & Butler, Linear Algebra Appl. 13, 1976), each
-  reduced so, at about a quarter of the memory and time;
+  reduced so: a quarter of the eigh work, and about a third of the memory;
 * the k smallest pairs, when asked for and the pencil has more than
   b = 2k + 8 unknowns, by block subspace iteration on K^-1 M (Bathe &
   Wilson 1972; Saad, Numerical Methods for Large Eigenvalue Problems,
@@ -85,8 +85,9 @@ class Spectrum:
 #: Peak bytes of the dense solve: per n^2, five n x n doubles (the
 #: reduced matrix, eigh's copy of it, its divide-and-conquer workspace
 #: of two and the eigenvectors; the peak RSS growth measured at n = 1501
-#: and 2005 is 41-43 n^2 bytes with the other terms); per n * w, for a
-#: band of w stored diagonals, the extended-precision rows of the polish.
+#: and 2005 is 41-43 n^2 bytes with the other terms, that of a folded
+#: values-only solve 14 n^2 at n = 2005); per n * w, for a band of w stored diagonals,
+#: the extended-precision rows of the polish.
 _DENSE_BYTES_PER_N2 = 40
 _POLISH_BYTES_PER_NW = 80
 #: Peak bytes of the subset solve per (n + b) * b, for a block of b
