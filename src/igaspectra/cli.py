@@ -13,8 +13,11 @@ once, and gives each command only the flags its runner reads; JSON echoes
 the parsed namespace as ``config`` without ``out``.  Results go to stdout
 or, with ``--out``, to a file written atomically (temporary file in the
 target directory, renamed on success), in blocks of ``_BLOCK_ROWS`` rows
-formatted as they are written.  CSV uses one header line and 17
-significant digits; JSON mirrors the same data.  Exit codes: 0 success,
+formatted as they are written.  CSV has one header line, and each value
+is byte for byte Python's ``"%.17g" % v`` (17 significant digits,
+trailing zeros dropped) or, for integers, ``"%d" % v``; blocks of at
+least ``_VECTOR_ROWS`` rows are made as bytes by ``csvcells``.  JSON
+mirrors the same data.  Exit codes: 0 success,
 2 configuration error (``configuration error: <message>`` on stderr,
 nothing on stdout, whether argparse or the library refused), 3
 numerical failure.
@@ -59,7 +62,7 @@ def run_condition(args) -> dict:
 _BLOCK_ROWS = 8192
 
 
-def _column_text(values: np.ndarray, encode) -> list:
+def _column_text(values: np.ndarray, encode) -> np.ndarray:
     """``encode(values)``, called once per run of bitwise-equal neighbours.
 
     A 2D/3D spectrum repeats each sum once per permutation of its axis
@@ -72,19 +75,37 @@ def _column_text(values: np.ndarray, encode) -> list:
     np.not_equal(bits[1:], bits[:-1], out=starts[1:])
     if starts.all():
         return encode(values)
-    texts = encode(values[starts])
-    return [texts[k] for k in (np.cumsum(starts) - 1).tolist()]
+    return encode(values[starts])[np.cumsum(starts) - 1]
 
 
-def _csv_text(values: np.ndarray) -> list:
-    # one %-format over the whole block is faster than one per value
-    fmt = "%.17g " if values.dtype.kind == "f" else "%d "
-    return (fmt * len(values) % tuple(values.tolist())).split()
-
-
-def _json_text(values: np.ndarray) -> list:
+def _json_text(values: np.ndarray) -> np.ndarray:
     # json's own encoder spells each number, NaN and Infinity included
-    return json.dumps(values.tolist())[1:-1].split(", ")
+    return np.array(json.dumps(values.tolist())[1:-1].split(", "), dtype=object)
+
+
+#: Blocks of fewer rows are formatted by Python's ``%``, which spares
+#: short outputs the import and the digit tables of ``csvcells``.
+_VECTOR_ROWS = 256
+
+
+def _csv_rows(blocks: list) -> str:
+    """CSV lines of equally long column blocks: each float as Python's
+    ``"%.17g" % v``, each integer as ``"%d" % v``, byte for byte."""
+    if len(blocks[0]) < _VECTOR_ROWS:
+        line = ",".join("%.17g" if b.dtype.kind == "f" else "%d" for b in blocks) + "\n"
+        return "".join(map(line.__mod__, zip(*(b.tolist() for b in blocks))))
+    from . import csvcells
+    # one byte row per line: NUL-padded cells, each followed by "," or a
+    # newline; deleting the NULs leaves the text
+    widths = [csvcells.cell_width(b) + 1 for b in blocks]
+    rows = np.empty((len(blocks[0]), sum(widths)), np.uint8)
+    end = 0
+    for block, width in zip(blocks, widths):
+        end += width
+        rows[:, end - width:end - 1] = _column_text(block, csvcells.cell_bytes)
+        rows[:, end - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def render(result: dict, fmt: str, start: int = 0, stop: int | None = None) -> str:
@@ -111,18 +132,15 @@ def render(result: dict, fmt: str, start: int = 0, stop: int | None = None) -> s
             doc["rows"] = []
             body = json.dumps(doc, indent=2, sort_keys=True)[:-len("]\n}")] + body
         return body + ("\n  ]\n}\n" if last else "")
-    texts = [_column_text(col[start:stop], _csv_text) for col in columns.values()]
-    lines = list(map(",".join, zip(*texts)))
-    if start == 0:
-        lines.insert(0, ",".join(header))
+    lines = [",".join(header) + "\n" if start == 0 else "",
+             _csv_rows([col[start:stop] for col in columns.values()])]
     rates = result.get("rates")
     if last and rates is not None:
         rate_row = {k: rates.get(k, "") for k in header}
         rate_row.update({header[0]: "rate", "h": ""})
         lines.append(",".join(v if isinstance(v, str) else "%.17g" % v
-                              for v in rate_row.values()))
-    lines.append("")  # a final newline, without copying the joined text
-    return "\n".join(lines)
+                              for v in rate_row.values()) + "\n")
+    return "".join(lines)
 
 
 def _write_atomic(path: str, blocks) -> None:

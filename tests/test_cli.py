@@ -245,6 +245,101 @@ def test_render_spells_special_floats_as_json_and_csv_do():
                        for start in range(0, len(special), 2)) == text
 
 
+def _byte_cells_csv(values) -> list:
+    """The one-column CSV lines of ``values``, every block of them made
+    as bytes by ``csvcells`` (not by the short-block ``%`` path)."""
+    from igaspectra import cli
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_VECTOR_ROWS", 1)
+        text = cli.render({"columns": {"v": np.asarray(values)}}, "csv")
+    assert text.startswith("v\n") and text.endswith("\n")
+    return text[2:-1].split("\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_csv_floats_are_percent_17g(values):
+    """nan, ±inf, ±0.0 and subnormals included."""
+    assert _byte_cells_csv(np.array(values, dtype=np.float64)) == ["%.17g" % v for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40))
+def test_csv_float_bit_patterns_are_percent_17g(patterns):
+    values = np.array(patterns, dtype=np.int64).view(np.float64)
+    assert _byte_cells_csv(values) == ["%.17g" % v for v in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40))
+def test_csv_integers_are_percent_d(values):
+    assert _byte_cells_csv(np.array(values, dtype=np.int64)) == ["%d" % v for v in values]
+
+
+def test_csv_integer_extremes_are_percent_d():
+    values = [0, -1, 1, 9, 10, -10, 9999, 10000, 10**16, -10**16 - 1,
+              2**63 - 1, -2**63, -2**63 + 1]
+    assert _byte_cells_csv(np.array(values, dtype=np.int64)) == ["%d" % v for v in values]
+
+
+def test_csv_exact_tie_rounds_half_to_even():
+    # 1 + 2^-17 = 1.00000762939453125 exactly: 17 digits end in a tie
+    assert _byte_cells_csv([1 + 2**-17, -1 - 2**-17]) == ["1.0000076293945312",
+                                                         "-1.0000076293945312"]
+
+
+@pytest.mark.parametrize("values", [
+    [120000.0, 1e16, 12345678901234560.0, 1e17, 1.5e17, 99999999999999984.0],
+    [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-250, 1e250],
+    [0.1, 1e-4, 0.00012345, 1e-5, 9.999999999999999e-5, 123.456, -7.25e-300],
+], ids=["integer parts", "range ends", "notations"])
+def test_csv_named_floats_are_percent_17g(values):
+    assert _byte_cells_csv(values) == ["%.17g" % v for v in values]
+    assert _byte_cells_csv([-v for v in values]) == ["%.17g" % -v for v in values]
+
+
+def test_csv_powers_of_ten_and_neighbours_are_percent_17g():
+    powers = 10.0 ** np.arange(-300, 301)
+    for values in (powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)):
+        assert _byte_cells_csv(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def test_csv_block_of_python_formatted_floats():
+    """Every row here takes Python's own ``%``: zeros, non-finite values,
+    subnormals, |exponent| > 250, powers of ten, a tie and integer parts
+    ending in zero."""
+    values = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -1e-310,
+              1e-300, 3.5e280, 1.0, 100.0, 1e-3, 1 + 2**-17, 120000.0, -2.5e10]
+    assert _byte_cells_csv(values) == ["%.17g" % v for v in values]
+
+
+@pytest.mark.parametrize("vector_rows", [1, 10**9])
+def test_output_bytes_do_not_depend_on_the_csv_path(capsys, monkeypatch, vector_rows):
+    """Every block as bytes from ``csvcells``, or every block by Python's ``%``."""
+    from igaspectra import cli
+
+    monkeypatch.setattr(cli, "_VECTOR_ROWS", vector_rows)
+    for argv in BYTE_CASES:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == _reference_text(argv + ["--format", "csv"]), argv
+
+
+def test_short_outputs_leave_csvcells_unloaded():
+    """Importing the CLI builds no digit table, and a command that prints
+    a few rows never imports the module that holds them."""
+    script = ("import sys\nfrom igaspectra import cli\n"
+              "assert 'igaspectra.csvcells' not in sys.modules\n"
+              "assert cli.main(['condition', '--dim', '3', '--degree', '3', "
+              "'--elements', '8']) == 0\n"
+              "assert 'igaspectra.csvcells' not in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 def test_out_is_all_or_nothing_when_a_later_block_fails(capsys, monkeypatch, tmp_path):
     from igaspectra import cli
 
@@ -268,9 +363,11 @@ def test_out_is_all_or_nothing_when_a_later_block_fails(capsys, monkeypatch, tmp
 
 
 def test_spectrum_output_streams_in_bounded_memory(tmp_path):
-    """At d = 3, n = 30 (29,791 rows) the command peaked at 158 bytes per
-    row, most of it one output block; the bound leaves a quarter of margin.
-    Rendering the whole text at once held 400 bytes per row."""
+    """At d = 3, n = 30 (29,791 rows) the command peaked at 139 bytes per
+    row with the CSV cells made as bytes (134 when an earlier call built
+    the digit tables), most of it the columns and one output block; the
+    bound leaves two fifths of margin.  Formatting each value as a Python
+    string peaked at 158, and rendering the whole text at once at 400."""
     out = tmp_path / "spectrum.csv"
     tracemalloc.start()
     try:
