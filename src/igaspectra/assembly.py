@@ -1,24 +1,26 @@
 """1D stiffness/mass assembly with blended quadrature and boundary penalty.
 
 For the Dirichlet Laplacian on [0, 1] discretised by the n_dof interior
-functions of a ``KnotVector``, this module builds the symmetric banded pair (K, M):
+functions of a ``KnotVector``, K[i, j] = Q(phi_i' phi_j') and
+M[i, j] = Q(phi_i phi_j), where Q = eta Q_gauss + (1 - eta) Q_lobatto
+blends the (p+1)-point rules, eta = 1 being plain Gauss.  Both rules
+integrate K exactly and Gauss M; Lobatto errs by E_p on t^(2p) only, so
+the blend adds (1-eta) E_p (h/2)^(2p+1) / (p!)^2 (D^p N_a)(D^p N_b) to M
+per element.  The penalty adds, per level l = 1 .. floor((p - 1) / 2),
+pi^2 h^(6l-3) d_l d_l^T to K and h^(6l-1) d_l d_l^T to M, d_l the 2l-th
+derivatives at each end: it only touches the (p-1) x (p-1) corner
+blocks and pushes the spurious outlier modes out of the spectrum.
 
-    K[i, j] = Q( phi_i' phi_j' ) + penalty,   M[i, j] = Q( phi_i phi_j ) + penalty,
-
-where Q = eta Q_gauss + (1 - eta) Q_lobatto blends the (p+1)-point rules
-element by element, eta = 1 being plain Gauss.  Every pencil is one Gauss
-pass plus, per element, M += (1-eta) E_p (h/2)^(2p+1) / (p!)^2 (D^p N_a)(D^p N_b):
-Gauss is exact on the mass, Lobatto errs by E_p on its t^(2p) term only.
-The penalty adds, for each level l = 1 .. alpha
-with alpha = floor((p - 1) / 2), the endpoint terms
-
-    K += pi^2 * h^(6l-3) * [ w^(2l)(0) v^(2l)(0) + w^(2l)(1) v^(2l)(1) ]
-    M +=        h^(6l-1) * [ same ]
-
-which only touch the (p-1) x (p-1) corner blocks and push the spurious
-outlier modes out of the discrete spectrum.
+Every entry is its exact value rounded once.  On unit elements every
+term is rational; on n elements of size 1/n the pair is n K_1 + pi^2
+sum_l n^(3-2l) d_l d_l^T and M_1 / n + sum_l n^(1-2l) d_l d_l^T, summed
+as ``Fraction`` (pi^2 to 64 digits) and rounded by ``float``.  So each
+interior diagonal holds one value, the cardinal stencil, and the pair
+equals its mirror bit for bit.  The exact integer work is O(p^3) once
+per degree; scaling, rounding and filling the band cost O(p^2 + n p).
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -26,13 +28,19 @@ import numpy as np
 
 from .bspline import KnotVector, boundary_derivatives
 from .errors import ConfigurationError, check_int
-from .quadrature import gauss_legendre, map_to_element
+from .quadrature import map_to_element
 
 __all__ = [
     "SymBandMatrix",
     "assemble_1d",
     "assemble_1d_reference_gauss",
 ]
+
+# not called here: perfbench/tracer.py wraps both as assembly.<name> (ROADMAP item 5)
+boundary_derivatives, map_to_element = boundary_derivatives, map_to_element
+
+#: pi^2 to 64 significant digits, far below the half ulp a rounding needs.
+_PI2 = Fraction("9.869604401089358618834490999876151135313699407240790626413349376")
 
 
 class SymBandMatrix:
@@ -70,6 +78,65 @@ def _lobatto_defect(p: int) -> Fraction:
                     (2 * p + 1) * math.factorial(2 * p) ** 2)
 
 
+@functools.cache
+def _unit_bands(p: int, n: int) -> tuple[np.ndarray, int]:
+    """Exact integer lower bands of n unit elements (integer knots), and S.
+
+    Cox-de Boor on polynomials in t = x - e on element e; degree k divides
+    by knot differences of at most k, so scaled by lcm(1..k) it keeps
+    integer coefficients, over S, the product of those lcms.  Returns the
+    band sums (p+1, n + p - 2) of the element numerators of the stiffness
+    and the mass over L S^2, L = lcm(1..2p+1), and over S^2 of the
+    (D^p N_a)(D^p N_b) / (p!)^2 of the blend and of each penalty level's
+    d_l d_l^T at both ends.  Beyond n = 2p the p right boundary elements
+    mirror the left ones, and those between repeat the cardinal element p.
+    """
+    knots = [0] * p + list(range(n + 1)) + [n] * p
+    j = np.arange(p + 1)
+    # the integrals of t^(i+j) over [0, 1], times L
+    hilbert = (math.lcm(*range(1, 2 * p + 2)) // (j[:, None] + j + 1)).astype(object)
+    tables = []
+    for e in range(n if n <= 2 * p else p + 1):
+        rows, scale = [np.ones(1, dtype=object)], 1
+        for k in range(1, p + 1):
+            lcm = math.lcm(*range(1, k + 1))
+            scale *= lcm
+            level = []
+            for i in range(e + p - k, e + p + 1):
+                # (x - t_i) / (t_(i+k) - t_i) N_(i,k-1) + (t_(i+k+1) - x) / (...) N_(i+1,k-1)
+                poly = np.zeros(k + 1, dtype=object)
+                for r, low, root, sign in ((i - e - p + k - 1, i, knots[i], 1),
+                                           (i - e - p + k, i + 1, knots[i + k + 1], -1)):
+                    if 0 <= r < k:
+                        factor = sign * lcm // (knots[low + k] - knots[low])
+                        poly[:-1] += factor * (e - root) * rows[r]
+                        poly[1:] += factor * rows[r]
+                level.append(poly)
+            rows = level
+        c = np.array(rows, dtype=object)
+        grad = c[:, 1:] * j[1:]
+        # the 2l-th derivatives at x = 0 are (2l)! c[:, 2l]
+        ends = [math.factorial(2 * level) * c[:, 2 * level] * (e == 0)
+                for level in range(1, (p - 1) // 2 + 1)]
+        tables.append([grad @ hilbert[:p, :p] @ grad.T, c @ hilbert @ c.T,
+                       np.outer(c[:, p], c[:, p])] + [np.outer(d, d) for d in ends])
+    tables = np.array(tables, dtype=object)
+    if n > 2 * p:
+        tables = np.concatenate([tables[:p], np.repeat(tables[p:], n - 2 * p, axis=0),
+                                 tables[p - 1 :: -1, :, ::-1, ::-1]])
+    else:
+        tables[-1, 3:] = tables[-1, 3:] + tables[0, 3:, ::-1, ::-1]  # x = 1 mirrors x = 0
+    n_dof = n + p - 2
+    sums = np.zeros((tables.shape[1], p + 1, n_dof), dtype=object)
+    # local (la, lb) of element e is entry (e+la-1, e+lb-1)
+    for la in range(p + 1):
+        for lb in range(la + 1):
+            lo = max(0, 1 - lb)
+            hi = max(lo, min(n, n_dof + 1 - la))
+            sums[:, la - lb, lo + lb - 1 : hi + lb - 1] += tables[lo:hi, :, la, lb].T
+    return sums, scale
+
+
 def assemble_1d(space: KnotVector, eta, penalty: bool = False
                 ) -> tuple[SymBandMatrix, SymBandMatrix]:
     """Assemble the 1D stiffness and mass pair (K, M).
@@ -88,54 +155,26 @@ def assemble_1d(space: KnotVector, eta, penalty: bool = False
     Returns
     -------
     (SymBandMatrix, SymBandMatrix)
-        Stiffness and mass, both exactly symmetric with bandwidth p.
+        Stiffness and mass, both exactly symmetric and persymmetric with bandwidth p.
     """
-    p, n, h = space.degree, space.n_elements, space.h
-    n_dof = space.n_dof
-
-    K = SymBandMatrix(n_dof, p)
-    M = SymBandMatrix(n_dof, p)
-
-    # every element at once, one quadrature node at a time
-    e = np.arange(n)
-    spans = p + e  # knot span of each element
-    # D^p N is constant per element; the copy frees the full table
-    dp = space.all_basis_ders(spans, (e + 0.5) * h, p)[:, p].copy()
-    k_loc = np.zeros((n, p + 1, p + 1))
-    m_loc = np.zeros((n, p + 1, p + 1))
-    nodes, weights = map_to_element(gauss_legendre(p + 1), e * h, (e + 1) * h)
-    for q in range(p + 1):
-        ders = space.all_basis_ders(spans, nodes[:, q], 1)
-        vals, grads = ders[:, 0], ders[:, 1]
-        w = weights[:, q, None, None]
-        m_loc += w * (vals[:, :, None] * vals[:, None, :])
-        k_loc += w * (grads[:, :, None] * grads[:, None, :])
-    # K needs no term: both rules are exact to degree 2p-1 > 2p-2.  At
-    # eta = 1 the coefficient is 0.0, and adding +-0.0 changes no bit of m_loc
-    coeff = (1 - eta) * _lobatto_defect(p) / math.factorial(p) ** 2
-    m_loc += float(coeff) * (0.5 * h) ** (2 * p + 1) * (dp[:, :, None] * dp[:, None, :])
-    # local (la, lb) of element e is entry (e+la-1, e+lb-1); descending la
-    # adds each band entry's contributions in element order
-    for la in range(p, -1, -1):
-        for lb in range(la, -1, -1):
-            lo = max(0, 1 - lb)
-            hi = max(lo, min(n, n_dof + 1 - la))
-            K.data[la - lb, lo + lb - 1 : hi + lb - 1] += k_loc[lo:hi, la, lb]
-            M.data[la - lb, lo + lb - 1 : hi + lb - 1] += m_loc[lo:hi, la, lb]
-
-    if penalty:
-        pi2 = math.pi * math.pi
-        for level in range(1, (p - 1) // 2 + 1):
-            d0, d1 = boundary_derivatives(space, 2 * level)
-            ca = pi2 * h ** (6 * level - 3)
-            cb = h ** (6 * level - 1)
-            for vec in (d0, d1):
-                nz = np.flatnonzero(vec)
-                i, j = np.meshgrid(nz, nz, indexing="ij")
-                i, j = i[j <= i], j[j <= i]
-                K.data[i - j, j] += ca * vec[i] * vec[j]
-                M.data[i - j, j] += cb * vec[i] * vec[j]
-
+    p, n, n_dof = int(space.degree), int(space.n_elements), int(space.n_dof)
+    K, M = SymBandMatrix(n_dof, p), SymBandMatrix(n_dof, p)
+    # beyond 3p + 1 elements the columns past 2p are those of 3p + 1 elements
+    # shifted right, and the columns between hold column 2p - 1, the stencil
+    mesh = min(n, 3 * p + 1)
+    sums, scale = _unit_bands(p, mesh)
+    unit = math.lcm(*range(1, 2 * p + 2)) * scale**2
+    blend = (1 - Fraction(eta)) * _lobatto_defect(p) / (2 ** (2 * p + 1) * scale**2 * n)
+    k, m = sums[0] * Fraction(n, unit), sums[1] * Fraction(1, n * unit) + sums[2] * blend
+    for level, pen in enumerate(sums[3:] if penalty else [], 1):
+        weight = Fraction(n) ** (1 - 2 * level) / scale**2
+        nz = pen != 0  # the corner blocks
+        k[nz] += pen[nz] * (_PI2 * n * n * weight)
+        m[nz] += pen[nz] * weight
+    for A, band in zip((K, M), (k.astype(float), m.astype(float))):
+        A.data[:, : 2 * p] = band[:, : 2 * p]
+        A.data[:, 2 * p : 2 * p + n - mesh] = band[:, 2 * p - 1 : 2 * p]
+        A.data[:, 2 * p + n - mesh :] = band[:, 2 * p :]
     return K, M
 
 

@@ -11,11 +11,11 @@ time, to report the first failing pivot as LAPACK potrf numbers it.
 * every pair, by the Cholesky reduction M = L L^T: the eigenvectors z
   of L^-1 K L^-T, from np.linalg.eigh (divide and conquer, Gu &
   Eisenstat, SIMAX 16, 1995), give the pencil's as L^-T z.  A pencil of
-  at least 128 unknowns whose bands are persymmetric (J K J = K and
-  J M J = M, J the reversal, as on a uniform mesh treated alike at both
-  ends) is first folded into two half-size pencils of the same
-  bandwidth (Cantoni & Butler, Linear Algebra Appl. 13, 1976), each
-  reduced so: a quarter of the eigh work, and about a third of the memory;
+  at least 128 unknowns whose bands are persymmetric bit for bit (J K J =
+  K and J M J = M, J the reversal, as every assembled pencil is) is first
+  folded into two half-size pencils of the same bandwidth (Cantoni &
+  Butler, Linear Algebra Appl. 13, 1976), each reduced so: a quarter of
+  the eigh work, and about a third of the memory;
 * the k smallest pairs, when asked for and the pencil has more than
   b = 2k + 8 unknowns, by block subspace iteration on K^-1 M (Bathe &
   Wilson 1972; Saad, Numerical Methods for Large Eigenvalue Problems,
@@ -42,10 +42,7 @@ Two accuracy details on top of either path:
   error, which brings the smallest eigenvalues to near machine-relative
   accuracy.  The polish runs at every size, so the eigenvalues do not
   depend on whether the caller keeps the eigenvectors.  Folded vectors
-  are polished against the full pencil too, once they are unfolded; as
-  the assembled pencils are persymmetric only to rounding, each pair of
-  near-equal eigenvalues from opposite halves is first re-resolved by a
-  2 x 2 Rayleigh-Ritz step against the full pencil.
+  are unfolded and polished against the full pencil.
 * Eigenvector signs are fixed so each vector's largest-magnitude entry
   is positive, making results reproducible across runs.
 """
@@ -104,16 +101,10 @@ _FACTOR_BYTES_PER_NS = 24
 #: Eigenvectors polished at a time; bounds the extended-precision buffers.
 _POLISH_BLOCK = 16
 #: The dense path folds a pencil of at least ``_FOLD_MIN_N`` unknowns whose
-#: bands are persymmetric within ``_PERSYMMETRY_TOL`` of their largest entry
-#: (test_assembled_pair_is_persymmetric pins the assembled pencils there;
-#: their largest defect is 2.7e-13) into two half-size pencils.  Below
-#: that size the dense solve costs little, and the fold's lambda_1 on the
-#: coarse, ill-conditioned meshes of high degree is less accurate.
+#: bands are exactly persymmetric, as every assembled pencil is, into two
+#: half-size pencils.  Below that size the dense solve costs little, and the
+#: fold's lambda_1 on coarse meshes of high degree is less accurate.
 _FOLD_MIN_N = 128
-_PERSYMMETRY_TOL = 1e-12
-#: Relative gap below which two eigenvalues from opposite halves of a
-#: fold are taken for one end-localised pair and re-resolved together.
-_PAIR_GAP = 1e-9
 #: Subspace iteration: iteration cap, and the backward error
 #: |K u - lambda M u| / ((|K| + |lambda| |M|) |u|) a returned pair must meet.
 _MAX_ITERATIONS = 200
@@ -317,15 +308,10 @@ def _dense_vectors(K: SymBandMatrix, M: SymBandMatrix) -> np.ndarray:
 
 
 def _persymmetric(band) -> bool:
-    """Whether every diagonal of ``band`` equals its reverse within
-    ``_PERSYMMETRY_TOL`` of the largest entry: J A J = A, J the reversal."""
+    """Whether J A J = A bit for bit, J the reversal: entry (i + k, i) mirrors
+    to (n-1-i, n-1-i-k), so each stored diagonal must equal its reverse."""
     n = band.shape[1]
-    k, i = np.ogrid[: min(len(band), n), :n]
-    a = np.where(i < n - k, band[: len(k)], 0.0)
-    # entry (i + k, i) mirrors to (n - 1 - i, n - 1 - k - i); modulo n the
-    # zeros past the matrix mirror to each other
-    mirror = a[k, (n - 1 - k - i) % n]
-    return np.abs(a - mirror).max() <= _PERSYMMETRY_TOL * np.abs(a).max()
+    return all(np.array_equal(d[: n - k], d[n - k - 1 :: -1]) for k, d in enumerate(band[:n]))
 
 
 def _half_bands(band) -> tuple[np.ndarray, np.ndarray]:
@@ -377,13 +363,8 @@ def _folded_pairs(K: SymBandMatrix, M: SymBandMatrix,
     """Every pair of a persymmetric pencil, from its two ``_half_bands`` pencils.
 
     Each half is solved by ``_dense_vectors`` and its vectors unfolded
-    and polished against the full pencil.  The pencil is persymmetric
-    only to rounding, and its boundary modes come in near-degenerate
-    pairs, one localised at each end, whose sum and difference are what
-    the halves return; each pair of eigenvalues from opposite halves
-    closer than ``_PAIR_GAP`` is therefore re-resolved by a 2 x 2
-    Rayleigh-Ritz step against the full pencil and polished again.
-    Returns the unsorted eigenvalues and, if asked for, their vectors.
+    and polished against the full pencil.  Returns the unsorted
+    eigenvalues and, if asked for, their vectors.
     """
     n = K.n
     halves = []
@@ -394,42 +375,16 @@ def _folded_pairs(K: SymBandMatrix, M: SymBandMatrix,
         except DefinitenessError:
             _cholesky_blocks(M.data, "M")  # names the pivot of M itself
             raise
-    rows = _band_rows((K.data, M.data), np.longdouble)
     # unfolded one polish block at a time: no n x n/2 array is held
-    lam = _block_quotients(rows, (
+    lam = _block_quotients(_band_rows((K.data, M.data), np.longdouble), (
         _unfold(y[:, c : c + _POLISH_BLOCK], n, sign)
         for y, sign in halves for c in range(0, y.shape[1], _POLISH_BLOCK)))
-    plus = halves[0][0].shape[1]
-
-    def column(j):
-        half, c = divmod(j, plus)  # n <= 2 plus
-        y, sign = halves[half]
-        return _unfold(y[:, [c]], n, sign)
-
-    order = np.argsort(lam, kind="stable")
-    minus = order >= plus
-    near = np.flatnonzero((np.abs(np.diff(lam[order])) <= _PAIR_GAP * np.abs(lam[order][1:]))
-                          & (minus[1:] != minus[:-1]))
-    # (P, 2) disjoint pairs of indices into lam: a run of near neighbours keeps its first
-    pairs = order[near[~np.isin(near - 1, near)][:, None] + np.arange(2)]
-    if len(pairs):
-        u = np.stack([np.hstack([column(j) for j in pair]) for pair in pairs])
-        # the pairs split at ~1e-14 relative: U^T K U and U^T M U in extended precision
-        ul = u.astype(np.longdouble)
-        products = _band_products(rows, ul.transpose(1, 0, 2).reshape(n, -1))
-        gram = np.einsum("pia,impb->mpab", ul, products.reshape(n, 2, -1, 2)).astype(float)
-        inv = np.linalg.inv(np.linalg.cholesky(gram[1]))
-        inv_t = inv.transpose(0, 2, 1)
-        u = u @ (inv_t @ np.linalg.eigh(inv @ gram[0] @ inv_t)[1])
-        ritz = u.transpose(1, 0, 2).reshape(n, -1)
-        lam[pairs.ravel()] = _rayleigh_quotients(K.data, M.data, ritz)
     if not want_vectors:
         return lam, None
     vec = np.empty((n, n))
+    plus = halves[0][0].shape[1]
     for (y, sign), cols in zip(halves, (slice(0, plus), slice(plus, n))):
         _unfold(y, n, sign, out=vec[:, cols])
-    if len(pairs):
-        vec[:, pairs.ravel()] = ritz
     return lam, vec
 
 

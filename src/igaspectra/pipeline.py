@@ -34,11 +34,12 @@ __all__ = ["build_1d", "solve_1d", "spectral_sum", "solve_nd", "spectrum_rows",
 def _assembly_bytes(degree: int, n_elements: int) -> int:
     """Peak bytes of ``build_1d``, estimated from the element count and degree.
 
-    Element matrices, basis tables and their products: the tracemalloc
-    peak measured at p = 1..7 and n = 2000 and 20000 fits under
-    4 (p+1)^2 + 6 (p+1) + 24 doubles per element.
+    The two bands and the knots, 2 (p+1) + 4 doubles per element, and the
+    exact tables of a first call with the Fraction arrays each call rounds,
+    under 1024 (p+1)^3 bytes: the tracemalloc peak at p = 1..7 and
+    n = 1..20000, tables built in the call, stays within 88% of the sum.
     """
-    return 8 * n_elements * (4 * (degree + 1) ** 2 + 6 * (degree + 1) + 24)
+    return 8 * n_elements * (2 * (degree + 1) + 4) + 1024 * (degree + 1) ** 3
 
 
 def _spectrum_bytes(n_rows: int) -> int:

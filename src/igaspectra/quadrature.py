@@ -11,8 +11,8 @@ is fixed by the one number eta: 1 is plain Gauss, and ``optimal_blending``
 gives the exact weight that cancels the theta^(2p+2) term of the discrete
 dispersion relation, so lambda h^2 = theta^2 + O(theta^(2p+4)) (Hughes,
 Reali & Sangalli, CMAME 197, 2008).  eta reaches -105103/2,
-so the two sums are never formed: ``assembly`` applies Gauss alone plus
-the closed-form Lobatto error on t^(2p).
+so the two sums are never formed: ``assembly`` integrates exactly and
+adds the closed-form Lobatto error on t^(2p).
 
 Nodes are computed by Newton iteration on the Legendre polynomial (or
 its derivative) from trigonometric initial guesses; only one half is

@@ -4,12 +4,13 @@ Everything here deliberately avoids the code paths it is meant to
 check: spline values come from the textbook two-term recursion in exact
 rational arithmetic, reference matrices are accumulated densely with
 numpy's own Gauss nodes, the blended pencil is summed as defined at 40
-digits in mpmath, and multi-dimensional operators are built as sparse
-Kronecker products and solved densely.  Some entries keep an earlier,
-slower form of a production routine that the current one must
-reproduce bit for bit.
+digits in mpmath and exactly, term by term, in Fractions, and
+multi-dimensional operators are built as sparse Kronecker products and
+solved densely.  Some entries keep an earlier, slower form of a
+production routine that the current one must reproduce bit for bit.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -31,9 +32,9 @@ DEFAULT_SIZE_CAP = 20_000
 
 
 def open_uniform_knots(degree, n_elements):
-    """Exact rational open uniform knot vector on [0, 1]."""
-    breaks = [Fraction(i, n_elements) for i in range(n_elements + 1)]
-    return [Fraction(0)] * degree + breaks + [Fraction(1)] * degree
+    """Exact rational open uniform knot vector on [0, 1], as a tuple."""
+    breaks = tuple(Fraction(i, n_elements) for i in range(n_elements + 1))
+    return (Fraction(0),) * degree + breaks + (Fraction(1),) * degree
 
 
 def _indicator(knots, i, x):
@@ -45,6 +46,8 @@ def _indicator(knots, i, x):
     return Fraction(0)
 
 
+# memoised: the recursions reach each (i, degree, x) many times; knots is a tuple
+@functools.lru_cache(maxsize=1 << 16)
 def bspline_value(knots, i, degree, x):
     """N_{i,degree}(x) by the two-term recursion, 0/0 terms dropped."""
     if degree == 0:
@@ -59,6 +62,7 @@ def bspline_value(knots, i, degree, x):
     return out
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def bspline_derivative(knots, i, degree, x, order):
     """order-th derivative of N_{i,degree} at x, exact rational."""
     if order == 0:
@@ -113,11 +117,10 @@ def dense_pair_overintegrated(space, points=20):
 def band_pair_per_entry(space, rule, penalty):
     """Band data of (K, M) by the scalar element-by-element assembly.
 
-    The original loop structure for a plain rule: one basis call per
-    quadrature point, one element matrix at a time, one band entry at a
-    time, then the endpoint penalty entry by entry.  The vectorized
-    assembly keeps the same floating-point operations in the same order,
-    so it must reproduce these bytes exactly.
+    The original float64 loop for a plain rule, such as the Lobatto rule
+    the assembly never applies: one basis call per quadrature point, one
+    element matrix at a time, one band entry at a time, then the endpoint
+    penalty entry by entry.
     """
     p, n, h, n_dof = space.degree, space.n_elements, space.h, space.n_dof
     nodes, weights = rule
@@ -150,6 +153,82 @@ def band_pair_per_entry(space, rule, penalty):
                         K[i - j, j] += ca * vec[i] * vec[j]
                         M[i - j, j] += cb * vec[i] * vec[j]
     return K, M
+
+
+@functools.cache
+def _unit_element(window):
+    """Exact data of the unit element [0, 1] of the 2p + 2 integer knots
+    ``window``, window[p] = 0 and window[p + 1] = 1: the integrals over it
+    of the products of the derivatives, and of the values, of its p + 1
+    functions, and the products of their Taylor coefficients of order p.
+    The Taylor coefficients at 0 come from ``bspline_derivative``."""
+    p = len(window) // 2 - 1
+    taylor = [[bspline_derivative(window, f, p, Fraction(0), j) / math.factorial(j)
+               for j in range(p + 1)] for f in range(p + 1)]
+
+    def gram(coeffs):
+        # in integers over one denominator: int t^(i+j) = 1 / (i + j + 1)
+        den = math.lcm(*(c.denominator for row in coeffs for c in row))
+        ints = [[int(c * den) for c in row] for row in coeffs]
+        size = 2 * len(coeffs[0]) - 1
+        weight = [math.lcm(*range(1, size + 1)) // (k + 1) for k in range(size)]
+        return [[Fraction(sum(a * b * weight[i + j] for i, a in enumerate(row)
+                              for j, b in enumerate(col)), den * den * weight[0])
+                 for col in ints] for row in ints]
+
+    grads = [[j * c for j, c in enumerate(row)][1:] for row in taylor]
+    return gram(grads), gram(taylor), [[a[p] * b[p] for b in taylor] for a in taylor]
+
+
+def exact_pencil_parts(degree, n_elements):
+    """The exact pencil on n uniform elements of [0, 1], part by part.
+
+    Returns lower triangles, row r a list of r + 1 Fractions, of the
+    stiffness, the mass (which Gauss integrates exactly), the blend's mass
+    term (h/2)^(2p+1) / (p!)^2 (D^p N_a)(D^p N_b) without its (1 - eta) E_p
+    factor, and per penalty level l the pair
+    (h^(6l-3) D_l, h^(6l-1) D_l) with D_l = d0 d0^T + d1 d1^T of the 2l-th
+    derivatives at x = 0 and 1, K's pi^2 left out.  The element terms are
+    summed element by element on the integer knots of n unit elements,
+    each from the ``_unit_element`` of its knots (the 2p + 2 around it,
+    shifted to start the element at 0), by ``bspline_derivative``.  x -> n x
+    maps that mesh onto [0, 1], so an element's mass is h times its unit
+    integral, its stiffness 1/h times, and an r-th derivative is n^r times
+    the one on the unit mesh.
+    """
+    p, n = degree, n_elements
+    h = Fraction(1, n)
+    knots = (0,) * p + tuple(range(n + 1)) + (n,) * p
+    n_dof = n + p - 2
+
+    def zeros():
+        return [[Fraction(0)] * (r + 1) for r in range(n_dof)]
+
+    K, M, B = zeros(), zeros(), zeros()
+    for e in range(n):
+        parts = _unit_element(tuple(t - e for t in knots[e : e + 2 * p + 2]))
+        for f, g in itertools.product(range(p + 1), repeat=2):
+            r, c = e + f - 1, e + g - 1
+            if 0 <= c <= r < n_dof:
+                for total, part in zip((K, M, B), parts):
+                    total[r][c] += part[f][g]
+    # (h/2)^(2p+1) / (p!)^2 (D^p N)^2 with D^p N = p! taylor[p] / h^p
+    for total, scale in ((K, 1 / h), (M, h), (B, (h / 2) ** (2 * p + 1) / h ** (2 * p))):
+        for row in total:
+            row[:] = [scale * v for v in row]
+    levels = []
+    for level in range(1, (p - 1) // 2 + 1):
+        D = zeros()
+        for x in (0, n):
+            d = [bspline_derivative(knots, i + 1, p, Fraction(x), 2 * level) * n ** (2 * level)
+                 for i in range(n_dof)]
+            nz = [i for i in range(n_dof) if d[i]]
+            for r, c in itertools.product(nz, repeat=2):
+                if c <= r:
+                    D[r][c] += d[r] * d[c]
+        levels.append(([[h ** (6 * level - 3) * v for v in row] for row in D],
+                       [[h ** (6 * level - 1) * v for v in row] for row in D]))
+    return K, M, B, levels
 
 
 def _mp_rule(seeds, f, weight):

@@ -5,21 +5,23 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from igaspectra import (ConfigurationError, KnotVector, ResourceError,
                         SymBandMatrix, assemble_1d, assemble_1d_reference_gauss,
-                        build_1d, gauss_legendre, gauss_lobatto,
-                        optimal_blending, solve_1d)
+                        build_1d, gauss_lobatto, optimal_blending, solve_1d)
+from igaspectra import assembly
 from igaspectra.assembly import _lobatto_defect
 from igaspectra.bspline import boundary_derivatives
 from igaspectra.pipeline import _assembly_bytes
 
 from oracles import (band_pair_per_entry, blended_pair_mpmath,
-                     blended_toeplitz_rows, dense_pair_overintegrated)
+                     blended_toeplitz_rows, dense_pair_overintegrated,
+                     exact_pencil_parts, lobatto_defect_exact)
 
 
 def test_hat_functions_give_classical_tridiagonals():
@@ -135,16 +137,18 @@ def test_penalty_is_noop_below_cubic():
 @pytest.mark.parametrize("degree", range(1, 8))
 @pytest.mark.parametrize("blended", (False, True), ids=("gauss", "blended"))
 def test_interior_rows_match_the_exact_toeplitz_rows(degree, blended):
-    """The rows the dispersion analysis of eta assumes are the assembled ones."""
-    n = 4 * degree + 4
+    """The rows the dispersion analysis of eta assumes are the assembled ones:
+    away from the 2p - 1 corner columns at each end, diagonal k of K is the
+    one double n k_k and of M the one double m_k / n."""
     eta = optimal_blending(degree) if blended else 1
-    K, M = assemble_1d(KnotVector(degree, n), eta)
-    stiff, mass = (np.array([float(v) for v in row])
-                   for row in blended_toeplitz_rows(degree, eta))
-    i = n // 2 - degree  # rows i..i+p lie away from both ends
-    h = 1.0 / n
-    np.testing.assert_allclose(K.data[:, i] * h, stiff, rtol=0, atol=1e-12 * abs(stiff).max())
-    np.testing.assert_allclose(M.data[:, i] / h, mass, rtol=0, atol=1e-12 * abs(mass).max())
+    stiff, mass = blended_toeplitz_rows(degree, eta)
+    for n in (4 * degree + 4, 500):
+        K, M = assemble_1d(KnotVector(degree, n), eta, penalty=True)
+        for k in range(degree + 1):
+            # entry (i + k, i) sees only cardinal elements and no penalty
+            inner = slice(max(0, 2 * degree - 1 - k), K.n - 2 * degree + 1)
+            assert np.all(K.data[k, inner] == float(n * stiff[k]))
+            assert np.all(M.data[k, inner] == float(mass[k] / n))
 
 
 @pytest.mark.parametrize("degree", (3, 5, 1, 2, 4, 6, 7))
@@ -207,33 +211,62 @@ def test_band_matrix_to_dense_for_any_bandwidth(n, bandwidth):
     assert np.array_equal(band.to_dense(), want)
 
 
-def test_basis_is_tabulated_once_per_node_not_per_point(monkeypatch):
-    from igaspectra.bspline import KnotVector
+def test_exact_tables_are_built_once_per_degree():
+    """A mesh of more than 3p + 1 elements, whatever its size, scheme and
+    penalty, takes its band from the exact tables of 3p + 1 elements,
+    built once, on first use."""
+    assembly._unit_bands.cache_clear()
+    try:
+        for eta, n, penalty in itertools.product((1, optimal_blending(7)),
+                                                 (22, 200, 20000), (False, True)):
+            assemble_1d(KnotVector(7, n), eta, penalty)
+        info = assembly._unit_bands.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+    finally:
+        assembly._unit_bands.cache_clear()
 
-    calls = []
-    real = KnotVector.all_basis_ders
-    monkeypatch.setattr(KnotVector, "all_basis_ders",
-                        lambda self, *args: calls.append(1) or real(self, *args))
-    for eta, n in itertools.product((1, optimal_blending(7)), (5, 200)):
-        calls.clear()
-        assemble_1d(KnotVector(7, n), eta, penalty=True)
-        # 8 Gauss nodes, one p-th derivative table for the blend term,
-        # and both endpoints at 3 penalty levels, whatever eta is
-        assert len(calls) == 8 + 1 + 6
+
+def _rounded_band(terms, degree):
+    """Lower band storage of sum_j c_j A_j for ``terms`` (c_j, A_j), A_j lower
+    triangles of Fractions, each entry summed exactly and rounded once."""
+    n = len(terms[0][1])
+    band = np.zeros((degree + 1, n))
+    for k in range(min(degree + 1, n)):
+        band[k, : n - k] = [float(sum(c * A[i + k][i] for c, A in terms if A[i + k][i]))
+                            for i in range(n - k)]
+    return band
+
+
+def _pi_squared():
+    with mpmath.workdps(80):
+        return Fraction(str(mpmath.pi**2))
 
 
 @settings(max_examples=40, deadline=None)
-@given(degree=st.integers(1, 7), n_elements=st.integers(1, 40),
-       penalty=st.booleans())
-def test_assembly_reproduces_per_entry_oracle_bitwise(degree, n_elements, penalty):
-    # Gauss only: blended pencils are checked against the 40-digit
-    # assembly in test_blended_pencil_matches_40_digit_assembly
+@given(degree=st.integers(1, 7), n_elements=st.integers(1, 40))
+# every mesh class: all elements apart, 2p + 1 and 3p + 1 elements, and beyond
+@example(7, 6)
+@example(7, 15)
+@example(7, 22)
+@example(7, 40)
+def test_assembly_rounds_the_exact_pencil_once(degree, n_elements):
+    """Every band entry, both schemes, penalty on and off, is the exact sum
+    of its element and penalty terms rounded once."""
     assume(n_elements + degree > 2)
-    space = KnotVector(degree, n_elements)
-    K, M = assemble_1d(space, 1, penalty)
-    K_ref, M_ref = band_pair_per_entry(space, gauss_legendre(degree + 1), penalty)
-    assert np.array_equal(K.data, K_ref)
-    assert np.array_equal(M.data, M_ref)
+    K0, M0, B, levels = exact_pencil_parts(degree, n_elements)
+    pi2 = _pi_squared()
+    for eta, penalty in itertools.product((1, optimal_blending(degree)), (False, True)):
+        K, M = assemble_1d(KnotVector(degree, n_elements), eta, penalty)
+        on = levels if penalty else []
+        K_terms = [(1, K0)] + [(pi2, k_level) for k_level, _ in on]
+        M_terms = ([(1, M0), ((1 - eta) * lobatto_defect_exact(degree), B)]
+                   + [(1, m_level) for _, m_level in on])
+        assert np.array_equal(K.data, _rounded_band(K_terms, degree))
+        assert np.array_equal(M.data, _rounded_band(M_terms, degree))
+
+
+def test_pi_squared_carries_more_than_40_digits():
+    assert abs(assembly._PI2 - _pi_squared()) < Fraction(1, 10**60)
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,7 +278,7 @@ def test_assembled_pair_is_persymmetric(degree, n_elements, blended, penalty):
     eta = optimal_blending(degree) if blended else 1
     K, M = assemble_1d(KnotVector(degree, n_elements), eta, penalty)
     for A in (K.to_dense(), M.to_dense()):
-        assert np.abs(A - A[::-1, ::-1]).max() <= 1e-12 * np.abs(A).max()
+        assert np.array_equal(A, A[::-1, ::-1])
 
 
 @pytest.mark.parametrize("degree", range(1, 8))

@@ -351,9 +351,9 @@ def test_fold_helper_returns_the_pairs_of_small_pencils(n, bandwidth):
 
 @pytest.mark.parametrize("quadrature,penalty", [("gauss", False), ("blended", True)])
 def test_fold_resolves_the_end_localised_top_pair(quadrature, penalty):
-    """The assembled pencils are persymmetric only to ~1e-13, so their top
-    modes are two end-localised ones ~2.5e-14 apart, not the symmetric and
-    antisymmetric pair the halves return; the fold re-resolves them."""
+    """The top modes of the assembled pencils are localised at the two ends,
+    a symmetric and an antisymmetric pair ~2.5e-14 apart, one from each
+    half of the fold; the unfolded solve, which mixes them, agrees."""
     _, K, M = build_1d(5, 300, quadrature, penalty)
     assert K.n >= _FOLD_MIN_N and _persymmetric(K.data) and _persymmetric(M.data)
     got = solve_generalized(K, M, want_vectors=False).eigenvalues[-2:]
@@ -362,13 +362,15 @@ def test_fold_resolves_the_end_localised_top_pair(quadrature, penalty):
 
 @pytest.mark.parametrize("n_elements", [20, 31, 40])
 def test_fold_keeps_the_digits_of_the_40_digit_eigenvalues(n_elements):
-    """The fold on p = 7 pencils of 25, 36 and 45 unknowns: its six smallest
-    and four largest eigenvalues against those of the float64 pencil at 40 digits."""
-    _, K, M = build_1d(7, n_elements)
-    want = generalized_eigenvalues_mpmath(K.to_dense(), M.to_dense())
-    got = np.sort(_folded_pairs(K, M, want_vectors=False)[0])
-    ends = np.r_[0:6, -4:0]
-    assert np.all(np.abs(got[ends] - want[ends]) <= 1e-15 * want[ends])
+    """The fold on p = 7 pencils of 25, 36 and 45 unknowns, treated and
+    Gauss without penalty: every eigenvalue within 1 ulp of those of the
+    float64 pencil at 40 digits, with no step that re-resolves the
+    near-degenerate pairs the two halves split."""
+    for quadrature, penalty in (("blended", True), ("gauss", False)):
+        _, K, M = build_1d(7, n_elements, quadrature, penalty)
+        want = generalized_eigenvalues_mpmath(K.to_dense(), M.to_dense())
+        got = np.sort(_folded_pairs(K, M, want_vectors=False)[0])
+        assert np.all(_ulps(got, want) <= 1), quadrature
 
 
 def test_pencils_the_fold_skips_take_the_unfolded_path():
