@@ -162,16 +162,10 @@ def eigenfunction_errors(spectrum: Spectrum, space: KnotVector,
         check_int("mode", mode, 1, spectrum.n)
     exact = ExactSpectrum(1)
 
-    # basis values/gradients, (element, node, function), one node at a time
+    # basis values and gradients, (element, node, function)
     e = np.arange(n_el)
     nodes, weights = map_to_element(gauss_legendre(p + 4), e * h, (e + 1) * h)
-    m = nodes.shape[1]
-    vals = np.empty((n_el, m, p + 1))
-    grads = np.empty((n_el, m, p + 1))
-    for q in range(m):
-        ders = space.all_basis_ders(p + e, nodes[:, q], 1)
-        vals[:, q] = ders[:, 0]
-        grads[:, q] = ders[:, 1]
+    vals, grads = np.moveaxis(space.all_basis_ders((p + e)[:, None], nodes, 1), -2, 0)
 
     h1 = np.empty(len(modes))
     l2 = np.empty(len(modes))

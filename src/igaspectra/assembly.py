@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bspline import KnotVector, boundary_derivatives
+from .bspline import KnotVector, _element_pieces, _piece_rows, boundary_derivatives
 from .errors import ConfigurationError, check_int
 from .quadrature import map_to_element
 
@@ -82,38 +82,20 @@ def _lobatto_defect(p: int) -> Fraction:
 def _unit_bands(p: int, n: int) -> tuple[np.ndarray, int]:
     """Exact integer lower bands of n unit elements (integer knots), and S.
 
-    Cox-de Boor on polynomials in t = x - e on element e; degree k divides
-    by knot differences of at most k, so scaled by lcm(1..k) it keeps
-    integer coefficients, over S, the product of those lcms.  Returns the
+    Integrates the integer basis pieces of ``bspline._element_pieces``, S
+    their common scale, against an integer Hilbert table.  Returns the
     band sums (p+1, n + p - 2) of the element numerators of the stiffness
     and the mass over L S^2, L = lcm(1..2p+1), and over S^2 of the
     (D^p N_a)(D^p N_b) / (p!)^2 of the blend and of each penalty level's
-    d_l d_l^T at both ends.  Beyond n = 2p the p right boundary elements
-    mirror the left ones, and those between repeat the cardinal element p.
+    d_l d_l^T at both ends.  Beyond 2p + 1 elements the elements between
+    the p boundary ones at each end repeat the cardinal element's tables.
     """
-    knots = [0] * p + list(range(n + 1)) + [n] * p
+    pieces, scale = _element_pieces(p, n)
     j = np.arange(p + 1)
     # the integrals of t^(i+j) over [0, 1], times L
     hilbert = (math.lcm(*range(1, 2 * p + 2)) // (j[:, None] + j + 1)).astype(object)
     tables = []
-    for e in range(n if n <= 2 * p else p + 1):
-        rows, scale = [np.ones(1, dtype=object)], 1
-        for k in range(1, p + 1):
-            lcm = math.lcm(*range(1, k + 1))
-            scale *= lcm
-            level = []
-            for i in range(e + p - k, e + p + 1):
-                # (x - t_i) / (t_(i+k) - t_i) N_(i,k-1) + (t_(i+k+1) - x) / (...) N_(i+1,k-1)
-                poly = np.zeros(k + 1, dtype=object)
-                for r, low, root, sign in ((i - e - p + k - 1, i, knots[i], 1),
-                                           (i - e - p + k, i + 1, knots[i + k + 1], -1)):
-                    if 0 <= r < k:
-                        factor = sign * lcm // (knots[low + k] - knots[low])
-                        poly[:-1] += factor * (e - root) * rows[r]
-                        poly[1:] += factor * rows[r]
-                level.append(poly)
-            rows = level
-        c = np.array(rows, dtype=object)
+    for e, c in enumerate(pieces):
         grad = c[:, 1:] * j[1:]
         # the 2l-th derivatives at x = 0 are (2l)! c[:, 2l]
         ends = [math.factorial(2 * level) * c[:, 2 * level] * (e == 0)
@@ -121,11 +103,8 @@ def _unit_bands(p: int, n: int) -> tuple[np.ndarray, int]:
         tables.append([grad @ hilbert[:p, :p] @ grad.T, c @ hilbert @ c.T,
                        np.outer(c[:, p], c[:, p])] + [np.outer(d, d) for d in ends])
     tables = np.array(tables, dtype=object)
-    if n > 2 * p:
-        tables = np.concatenate([tables[:p], np.repeat(tables[p:], n - 2 * p, axis=0),
-                                 tables[p - 1 :: -1, :, ::-1, ::-1]])
-    else:
-        tables[-1, 3:] = tables[-1, 3:] + tables[0, 3:, ::-1, ::-1]  # x = 1 mirrors x = 0
+    tables[-1, 3:] = tables[-1, 3:] + tables[0, 3:, ::-1, ::-1]  # x = 1 mirrors x = 0
+    tables = tables[_piece_rows(p, n, np.arange(n))]
     n_dof = n + p - 2
     sums = np.zeros((tables.shape[1], p + 1, n_dof), dtype=object)
     # local (la, lb) of element e is entry (e+la-1, e+lb-1)

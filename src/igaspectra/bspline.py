@@ -5,22 +5,64 @@ C^{p-1} continuity across the interior knots.  ``KnotVector`` is the
 space: its full basis has n + p functions; dropping the first and last
 one enforces homogeneous Dirichlet conditions and leaves n_dof = n + p - 2.
 
-Evaluation uses the standard triangular recurrence for the nonzero
-basis functions on a knot span, together with the companion recurrence
-for derivatives up to order p.
+On unit elements (integer knots) each basis piece is a polynomial that
+Cox-de Boor gives in integers over one common scale; at most 2p + 1
+elements differ.  Values and derivatives are Horner's rule on those
+integers, and the assembly integrates them exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+import functools
+import math
 
 import numpy as np
 
 from .errors import check_int
 
-__all__ = [
-    "KnotVector",
-    "eval_basis",
-    "boundary_derivatives",
-]
+__all__ = ["KnotVector", "eval_basis", "boundary_derivatives"]
+
+
+@functools.cache
+def _element_pieces(p: int, n: int) -> tuple[np.ndarray, int]:
+    """Integer coefficients of the basis pieces on n unit elements, and S.
+
+    Cox-de Boor on polynomials in t = x - e on element e; degree k divides
+    by knot differences of at most k, so scaled by lcm(1..k) it keeps
+    integer coefficients, over S, the product of those lcms.  Returns an
+    object array (min(n, 2p + 1), p + 1, p + 1) whose [r, j, i] is S times
+    the coefficient of t^i of the j-th nonzero function on element row r:
+    the first p rows are the left boundary elements, the last p rows the
+    right ones and, beyond 2p elements, row p the cardinal element that
+    every element between repeats (``_piece_rows``).
+    """
+    if n > 2 * p + 1:
+        return _element_pieces(p, 2 * p + 1)
+    knots = [0] * p + list(range(n + 1)) + [n] * p
+    pieces = []
+    for e in range(n):
+        rows, scale = [np.ones(1, dtype=object)], 1
+        for k in range(1, p + 1):
+            lcm = math.lcm(*range(1, k + 1))
+            scale *= lcm
+            level = []
+            for i in range(e + p - k, e + p + 1):
+                # (x - t_i) / (t_(i+k) - t_i) N_(i,k-1) + (t_(i+k+1) - x) / (...) N_(i+1,k-1)
+                poly = np.zeros(k + 1, dtype=object)
+                for r, low, root, sign in ((i - e - p + k - 1, i, knots[i], 1),
+                                           (i - e - p + k, i + 1, knots[i + k + 1], -1)):
+                    if 0 <= r < k:
+                        factor = sign * lcm // (knots[low + k] - knots[low])
+                        poly[:-1] += factor * (e - root) * rows[r]
+                        poly[1:] += factor * rows[r]
+                level.append(poly)
+            rows = level
+        pieces.append(rows)
+    return np.array(pieces, dtype=object), scale
+
+
+def _piece_rows(p: int, n: int, e):
+    """Row of ``_element_pieces(p, n)`` that holds element e of n."""
+    return np.where(e < p, e, np.where(e >= n - p, e - n + min(n, 2 * p + 1), p))
 
 
 @dataclass(frozen=True)
@@ -42,15 +84,10 @@ class KnotVector:
 
     degree: int
     n_elements: int
-    knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p, n = self.degree, self.n_elements
-        check_int("degree", p, 1)
-        check_int("n_elements", n, 1)
-        breaks = np.linspace(0.0, 1.0, n + 1)
-        knots = np.concatenate([np.zeros(p), breaks, np.ones(p)])
-        object.__setattr__(self, "knots", knots)
+        check_int("degree", self.degree, 1)
+        check_int("n_elements", self.n_elements, 1)
 
     @property
     def h(self) -> float:
@@ -71,62 +108,35 @@ class KnotVector:
         """Nonzero basis functions and derivatives on knot spans.
 
         ``span`` and ``x`` are scalars or broadcastable arrays, one span
-        per point.  Returns an array ``ders`` of shape
-        ``x.shape + (n_ders+1, p+1)`` where ``ders[..., k, j]`` is the
-        k-th derivative of basis function ``span - p + j`` at ``x``.
-        Every point goes through the same floating-point operations, so
-        an array call equals the scalar calls bit for bit.  Requires
-        0 <= n_ders <= p.
+        per point, each span an integer in p..p + n - 1 and 0 <= n_ders
+        <= p, or ``ConfigurationError``.  Returns an array ``ders`` of
+        shape ``x.shape + (n_ders+1, p+1)`` where ``ders[..., k, j]`` is
+        the k-th derivative of basis function ``span - p + j`` at ``x``:
+        Horner's rule on the integer coefficients of ``_element_pieces``
+        in t = n x - e on element e = span - p, divided by S / n^k last,
+        so a function that vanishes at x = 0 or 1 reads exactly 0.  Every
+        point goes through the same floating-point operations, so an
+        array call equals the scalar calls bit for bit.
         """
-        p = self.degree
-        t = self.knots
-        span, x = np.broadcast_arrays(np.asarray(span), np.asarray(x, dtype=float))
-        shape = x.shape
-        ndu = np.empty((p + 1, p + 1) + shape)
-        left = np.empty((p + 1,) + shape)
-        right = np.empty((p + 1,) + shape)
-        ndu[0, 0] = 1.0
-        for j in range(1, p + 1):
-            left[j] = x - t[span + 1 - j]
-            right[j] = t[span + j] - x
-            saved = 0.0
-            for r in range(j):
-                # lower triangle stores knot differences, upper the values
-                ndu[j, r] = right[r + 1] + left[j - r]
-                temp = ndu[r, j - 1] / ndu[j, r]
-                ndu[r, j] = saved + right[r + 1] * temp
-                saved = left[j - r] * temp
-            ndu[j, j] = saved
-
-        ders = np.zeros((n_ders + 1, p + 1) + shape)
-        ders[0] = ndu[:, p]
-        a = np.empty((2, p + 1) + shape)
-        for r in range(p + 1):
-            s1, s2 = 0, 1
-            a[0, 0] = 1.0
-            for k in range(1, n_ders + 1):
-                d = 0.0
-                rk = r - k
-                pk = p - k
-                if r >= k:
-                    a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                    d = a[s2, 0] * ndu[rk, pk]
-                j1 = 1 if rk >= -1 else -rk
-                j2 = k - 1 if r - 1 <= pk else p - r
-                for j in range(j1, j2 + 1):
-                    a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                    d += a[s2, j] * ndu[rk + j, pk]
-                if r <= pk:
-                    a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                    d += a[s2, k] * ndu[r, pk]
-                ders[k, r] = d
-                s1, s2 = s2, s1
-
-        factor = float(p)
-        for k in range(1, n_ders + 1):
-            ders[k] *= factor
-            factor *= p - k
-        return np.moveaxis(ders, (0, 1), (-2, -1))
+        p, n = int(self.degree), int(self.n_elements)
+        check_int("n_ders", n_ders, 0, p)
+        span = np.asarray(span)
+        bad = span if span.dtype.kind not in "iu" else span[(span < p) | (span >= p + n)]
+        if bad.size:  # the first non-integer or out-of-range span
+            check_int("span", bad.flat[0].item(), p, p + n - 1)
+        pieces, scale = _element_pieces(p, n)
+        e = span - p
+        rows, t = _piece_rows(p, n, e), n * np.asarray(x, dtype=float) - e
+        c = pieces.astype(float)
+        ders = np.zeros((n_ders + 1,) + t.shape + (p + 1,))  # one contiguous block per order
+        for k in range(n_ders + 1):
+            acc = ders[k]  # Horner in place, so only one gathered row is extra
+            for i in range(p - k, -1, -1):
+                acc *= t[..., None]
+                acc += c[rows, :, i]
+            acc /= scale / n**k
+            c = c[..., 1:] * np.arange(1, p - k + 1)
+        return np.moveaxis(ders, 0, -2)
 
 
 def eval_basis(space: KnotVector, x: float, r: int = 0):
@@ -157,8 +167,7 @@ def eval_basis(space: KnotVector, x: float, r: int = 0):
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x = {x} outside the domain [0, 1]")
     span = p + min(int(x * n), n - 1)
-    ders = space.all_basis_ders(span, x, r)
-    return [(span - p + j, ders[r, j]) for j in range(p + 1)]
+    return [(span - p + j, v) for j, v in enumerate(space.all_basis_ders(span, x, r)[r])]
 
 
 def boundary_derivatives(space: KnotVector, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,11 +179,9 @@ def boundary_derivatives(space: KnotVector, r: int) -> tuple[np.ndarray, np.ndar
     r+1 functions nearest that endpoint, one of which is the removed
     boundary function.
     """
-    p = space.degree
+    p, n = space.degree, space.n_elements
     check_int("r", r, 0, p)
-    # full-basis rows of the first and last element; the interior basis drops the ends
-    at0 = np.zeros(space.n_basis)
-    at1 = np.zeros(space.n_basis)
-    at0[: p + 1] = space.all_basis_ders(p, 0.0, r)[r]
-    at1[-(p + 1):] = space.all_basis_ders(p + space.n_elements - 1, 1.0, r)[r]
-    return at0[1:-1], at1[1:-1]
+    # the full basis on the first and the last element; the interior basis drops its ends
+    at = np.zeros((2, n + p))
+    at[0, : p + 1], at[1, n - 1 :] = space.all_basis_ders([p, p + n - 1], [0.0, 1.0], r)[:, r]
+    return at[0, 1:-1], at[1, 1:-1]

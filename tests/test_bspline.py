@@ -8,7 +8,7 @@ import pytest
 from igaspectra import ConfigurationError, KnotVector, eval_basis
 from igaspectra.bspline import boundary_derivatives
 
-from oracles import full_basis_exact
+from oracles import bspline_derivative, full_basis_exact, open_uniform_knots
 
 SAMPLE_POINTS = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 7),
                  Fraction(1, 4), Fraction(9, 10))
@@ -107,12 +107,35 @@ def test_boundary_derivative_support_is_p_minus_1_functions():
             assert np.all(at1[: n_dof - (degree - 1)] == 0.0)
 
 
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_every_element_piece_matches_exact_recursion(degree):
+    """Both ends and one interior point of every element, every order, on
+    meshes below, at and beyond 2p + 1 elements, so the left boundary,
+    cardinal and right boundary pieces are each read where they hold."""
+    p = degree
+    for n in sorted({1, 2, 2 * p, 2 * p + 1, 3 * p + 2}):
+        knots = open_uniform_knots(p, n)
+        for e in range(n):
+            inner = Fraction(3 * e + 1, 3 * n)
+            points = (Fraction(e, n), Fraction(e + 1, n), inner)
+            got = KnotVector(p, n).all_basis_ders(p + e, [float(x) for x in points], p)
+            for x, ders in zip(points, got):
+                for r in range(p + 1):
+                    # the p-th derivative is constant on the element and jumps at its ends
+                    at = inner if r == p else x
+                    want = np.array([float(bspline_derivative(knots, e + j, p, at, r))
+                                     for j in range(p + 1)])
+                    scale = max(1.0, np.abs(want).max())
+                    np.testing.assert_allclose(ders[r], want, rtol=0.0, atol=1e-13 * scale,
+                                               err_msg=f"n={n} e={e} x={x} r={r}")
+
+
 def test_interior_functions_vanish_at_endpoints():
-    for degree in (1, 3, 6):
+    for degree in range(1, 8):
         space = KnotVector(degree, 5)
         at0, at1 = boundary_derivatives(space, 0)
-        assert np.abs(at0).max() <= 1e-15
-        assert np.abs(at1).max() <= 1e-15
+        assert np.all(at0 == 0.0)
+        assert np.all(at1 == 0.0)
 
 
 def test_dirichlet_space_size():
@@ -145,3 +168,16 @@ def test_rejects_out_of_domain_and_bad_orders():
         KnotVector(0, 5)
     with pytest.raises(ConfigurationError):
         KnotVector(3, 0)
+
+
+@pytest.mark.parametrize("span,message", [
+    (1, "span must be in 3..6, got 1"),
+    ([3, 7], "span must be in 3..6, got 7"),
+    (np.array([3.0, 4.0]), "span must be an integer, got 3.0"),
+])
+def test_all_basis_ders_refuses_spans_outside_the_mesh(span, message):
+    # a span below p read knots before the first; one past the last element
+    # would read another element's piece
+    with pytest.raises(ConfigurationError) as info:
+        KnotVector(3, 4).all_basis_ders(span, 0.5, 1)
+    assert str(info.value) == message

@@ -39,6 +39,8 @@ CALL_SITES = [
     ("optimal_blending", optimal_blending, 3, 8),
     ("eval_basis", lambda v: eval_basis(KnotVector(3, 4), 0.5, v), 1, 4),
     ("boundary_derivatives", lambda v: boundary_derivatives(KnotVector(3, 4), v), 1, 4),
+    ("all_basis_ders-span", lambda v: KnotVector(3, 4).all_basis_ders(v, 0.5, 1), 4, 9),
+    ("all_basis_ders-n_ders", lambda v: KnotVector(3, 4).all_basis_ders(4, 0.5, v), 1, 4),
     ("spectral_sum-k", lambda v: spectral_sum([_AXIS, _AXIS], k=v), 2, 0),
     ("solve_nd-dim", lambda v: solve_nd(v, 3, 5), 2, 4),
     ("solve_nd-k", lambda v: solve_nd(2, 3, 5, k=v), 2, 0),
