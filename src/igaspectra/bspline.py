@@ -125,7 +125,7 @@ class KnotVector:
         if bad.size:  # the first non-integer or out-of-range span
             check_int("span", bad.flat[0].item(), p, p + n - 1)
         pieces, scale = _element_pieces(p, n)
-        e = span - p
+        e = span.astype(int, copy=False) - p  # an empty span of any dtype indexes nothing
         rows, t = _piece_rows(p, n, e), n * np.asarray(x, dtype=float) - e
         c = pieces.astype(float)
         ders = np.zeros((n_ders + 1,) + t.shape + (p + 1,))  # one contiguous block per order

@@ -7,6 +7,8 @@ diagonal block less its coupling to the block before, and a solve is
 one batched product with the inverted diagonal blocks plus a w-column
 update per block.  A block that fails is factored again one column at a
 time, to report the first failing pivot as LAPACK potrf numbers it.
+Every solve begins by so factoring M, which reports M's pivot whatever
+path runs after it.
 
 * every pair, by the Cholesky reduction M = L L^T: the eigenvectors z
   of L^-1 K L^-T, from np.linalg.eigh (divide and conquer, Gu &
@@ -41,8 +43,9 @@ Two accuracy details on top of either path:
   vector: the quotient is quadratically insensitive to the eigenvector
   error, which brings the smallest eigenvalues to near machine-relative
   accuracy.  The polish runs at every size, so the eigenvalues do not
-  depend on whether the caller keeps the eigenvectors.  Folded vectors
-  are unfolded and polished against the full pencil.
+  depend on whether the caller keeps the eigenvectors.  Every path hands
+  it its vectors in the same form, and folded ones are unfolded there,
+  block by block, and polished against the full pencil.
 * Eigenvector signs are fixed so each vector's largest-magnitude entry
   is positive, making results reproducible across runs.
 """
@@ -170,33 +173,6 @@ def _band_products(rows, x) -> np.ndarray:
     pad[width // 2 : width // 2 + n] = x
     # window[i, j] holds x[i + j - width // 2], the entry row i multiplies at j
     return rows @ sliding_window_view(pad, width, axis=0).transpose(0, 2, 1)
-
-
-def _rayleigh_quotients(k_band, m_band, vec) -> np.ndarray:
-    """(v^T K v) / (v^T M v) for each column v of ``vec``, in extended precision.
-
-    K and M come as lower bands (SymBandMatrix storage); ``_POLISH_BLOCK``
-    columns at a time bound the extended-precision buffers.
-    """
-    return _block_quotients(_band_rows((k_band, m_band), np.longdouble),
-                            (vec[:, c : c + _POLISH_BLOCK]
-                             for c in range(0, vec.shape[1], _POLISH_BLOCK)))
-
-
-def _block_quotients(rows, blocks) -> np.ndarray:
-    """``_rayleigh_quotients`` of the columns of ``blocks``, n x c arrays of
-    c <= ``_POLISH_BLOCK`` columns, the first of them the widest, with
-    ``rows`` the extended-precision ``_band_rows`` of K and M."""
-    buffer, forms = None, []
-    for x in blocks:
-        if buffer is None:
-            # one extended-precision block, so the einsum below casts nothing
-            buffer = np.empty(x.shape, dtype=np.longdouble)
-        v = buffer[:, : x.shape[1]]
-        v[...] = x
-        forms.append(np.einsum("ib,imb->mb", v, _band_products(rows, v)))
-    forms = np.concatenate(forms, axis=1)
-    return (forms[0] / forms[1]).astype(float)
 
 
 def _cholesky_blocks(band, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -348,7 +324,10 @@ def _half_bands(band) -> tuple[np.ndarray, np.ndarray]:
 def _unfold(y, n: int, sign: float, out=None) -> np.ndarray:
     """The pencil's vectors Q [y; 0] or Q [0; y] from vectors y of the
     ``_half_bands`` pencil of ``sign``: [y; sign J y] / sqrt 2, with the
-    centre row of odd n taken from the plus half and 0 in the minus one."""
+    centre row of odd n taken from the plus half and 0 in the minus one;
+    y itself for sign 0, the vectors of the unfolded pencil."""
+    if not sign:
+        return y
     m = n // 2
     out = np.empty((n, y.shape[1])) if out is None else out
     np.multiply(y[:m], np.sqrt(0.5), out=out[:m])
@@ -358,40 +337,48 @@ def _unfold(y, n: int, sign: float, out=None) -> np.ndarray:
     return out
 
 
-def _folded_pairs(K: SymBandMatrix, M: SymBandMatrix,
-                  want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Every pair of a persymmetric pencil, from its two ``_half_bands`` pencils.
+def _folded_parts(K: SymBandMatrix, M: SymBandMatrix) -> list:
+    """The vectors of the two ``_half_bands`` pencils of a persymmetric
+    pencil, each by ``_dense_vectors``, as ``_polished_pairs`` parts."""
+    return [(_dense_vectors(*(SymBandMatrix(h.shape[1], len(h) - 1, h) for h in bands)), sign)
+            for sign, bands in zip((1.0, -1.0), zip(_half_bands(K.data), _half_bands(M.data)))]
 
-    Each half is solved by ``_dense_vectors`` and its vectors unfolded
-    and polished against the full pencil.  Returns the unsorted
-    eigenvalues and, if asked for, their vectors.
+
+def _polished_pairs(K: SymBandMatrix, M: SymBandMatrix, parts,
+                    want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(v^T K v) / (v^T M v) for every vector v of ``parts``, in extended precision.
+
+    ``parts`` lists pairs (y, sign), y the vectors of the pencil itself
+    (sign 0) or of its ``_half_bands`` pencil of that sign, which are
+    unfolded here.  ``_POLISH_BLOCK`` columns at a time bound the
+    extended-precision buffers, and a fold unfolds no n x n/2 array
+    unless its vectors are wanted.  Returns the unsorted quotients and
+    the vectors: those of a single part, the unfolded halves if
+    ``want_vectors``, else None.
     """
     n = K.n
-    halves = []
-    for sign, bands in zip((1.0, -1.0), zip(_half_bands(K.data), _half_bands(M.data))):
-        pencil = [SymBandMatrix(h.shape[1], len(h) - 1, h) for h in bands]
-        try:
-            halves.append((_dense_vectors(*pencil), sign))
-        except DefinitenessError:
-            _cholesky_blocks(M.data, "M")  # names the pivot of M itself
-            raise
-    # unfolded one polish block at a time: no n x n/2 array is held
-    lam = _block_quotients(_band_rows((K.data, M.data), np.longdouble), (
-        _unfold(y[:, c : c + _POLISH_BLOCK], n, sign)
-        for y, sign in halves for c in range(0, y.shape[1], _POLISH_BLOCK)))
-    if not want_vectors:
-        return lam, None
-    vec = np.empty((n, n))
-    plus = halves[0][0].shape[1]
-    for (y, sign), cols in zip(halves, (slice(0, plus), slice(plus, n))):
-        _unfold(y, n, sign, out=vec[:, cols])
-    return lam, vec
+    rows = _band_rows((K.data, M.data), np.longdouble)
+    vec = parts[0][0] if len(parts) == 1 else np.empty((n, n)) if want_vectors else None
+    buffer, forms, start = None, [], 0
+    for y, sign in parts:
+        if sign and vec is not None:
+            y, sign = _unfold(y, n, sign, out=vec[:, start : start + y.shape[1]]), 0.0
+            start += y.shape[1]
+        for c in range(0, y.shape[1], _POLISH_BLOCK):
+            x = _unfold(y[:, c : c + _POLISH_BLOCK], n, sign)
+            if buffer is None:
+                # one extended-precision block, the first and widest, so the einsum casts nothing
+                buffer = np.empty(x.shape, dtype=np.longdouble)
+            v = buffer[:, : x.shape[1]]
+            v[...] = x
+            forms.append(np.einsum("ib,imb->mb", v, _band_products(rows, v)))
+    forms = np.concatenate(forms, axis=1)
+    return (forms[0] / forms[1]).astype(float), vec
 
 
 def _subspace_vectors(K: SymBandMatrix, M: SymBandMatrix, k: int, b: int) -> np.ndarray:
     """The k smallest M-orthonormal eigenvectors, by subspace iteration on K^-1 M."""
     n = K.n
-    _cholesky_blocks(M.data, "M")  # M must be positive definite; its factor is unused
     factor = _BandCholesky(K.data, "K")
     m_rows = _band_rows((M.data,), float)
     x = np.arange(1, n + 1) / (n + 1)
@@ -459,8 +446,8 @@ def solve_generalized(K: SymBandMatrix, M: SymBandMatrix,
     ValueError
         If the sizes differ or a band holds a NaN or infinity.
     DefinitenessError
-        If M is not positive definite, or on the subset path K (reports
-        the failing pivot).
+        If M is not positive definite, checked first on every path, or on
+        the subset path K (reports the failing pivot).
     NumericError
         On the subset path, if the iteration does not converge or its
         pairs miss the backward-error bound.
@@ -479,12 +466,16 @@ def solve_generalized(K: SymBandMatrix, M: SymBandMatrix,
     if not (np.isfinite(K.data).all() and np.isfinite(M.data).all()):
         raise ValueError("K and M must hold finite band entries")
 
+    _cholesky_blocks(M.data, "M")  # M positive definite, or its failing pivot, on every path
     b = _block_size(k, n)
-    if b is None and n >= _FOLD_MIN_N and _persymmetric(K.data) and _persymmetric(M.data):
-        lam, vec = _folded_pairs(K, M, want_vectors)
+    if b is not None:
+        parts = [(_subspace_vectors(K, M, k, b), 0.0)]
+    elif n >= _FOLD_MIN_N and _persymmetric(K.data) and _persymmetric(M.data):
+        parts = _folded_parts(K, M)
     else:
-        vec = _dense_vectors(K, M) if b is None else _subspace_vectors(K, M, k, b)
-        lam = _rayleigh_quotients(K.data, M.data, vec)
+        parts = [(_dense_vectors(K, M), 0.0)]
+    lam, vec = _polished_pairs(K, M, parts, want_vectors)
+    del parts  # the fold's halves, before the vectors are sorted
     order = np.argsort(lam, kind="stable")[:k]
     lam = lam[order]
     if b is not None:

@@ -64,11 +64,9 @@ def build_1d(degree: int, n_elements: int, quadrature: str = "blended",
     not fit in physical memory, and with ConfigurationError one with no
     interior unknowns.
     """
-    check_int("degree", degree, 1)
-    check_int("n_elements", n_elements, 1)
+    space = KnotVector(degree, n_elements)
     check_memory(_assembly_bytes(degree, n_elements), "assembly",
                  f"{n_elements} elements of degree {degree}")
-    space = KnotVector(degree, n_elements)
     if space.n_dof < 1:
         raise ConfigurationError(
             f"degree {degree} on {n_elements} element(s) has no interior unknowns")
@@ -88,12 +86,10 @@ def solve_1d(degree: int, n_elements: int, quadrature: str = "blended",
 
     With ``k``, only the k smallest pairs (see ``solve_generalized``).
     """
-    check_int("degree", degree, 1)
-    check_int("n_elements", n_elements, 1)
+    n_dof = KnotVector(degree, n_elements).n_dof
     if k is not None:
         check_int("k", k, 1)
-    # the size is known up front
-    _check_solve_fits(max(n_elements + degree - 2, 0), degree + 1, k)
+    _check_solve_fits(n_dof, degree + 1, k)  # the size is known up front
     _, K, M = build_1d(degree, n_elements, quadrature, penalty)
     return solve_generalized(K, M, want_vectors=want_vectors, k=k)
 
@@ -157,9 +153,7 @@ def spectrum_rows(dim: int, degree: int, n_elements: int,
     rows and output would not fit in physical memory.
     """
     check_int("dim", dim, 1, 3)
-    check_int("degree", degree, 1)
-    check_int("n_elements", n_elements, 1)
-    n_rows = max(n_elements + degree - 2, 0) ** dim
+    n_rows = KnotVector(degree, n_elements).n_dof ** dim
     check_memory(_spectrum_bytes(n_rows), "spectrum", f"{n_rows} modes")
     if dim == 1:  # the rows read no eigenvectors
         spec = solve_1d(degree, n_elements, quadrature, penalty, want_vectors=False)

@@ -46,35 +46,48 @@ def _indicator(knots, i, x):
     return Fraction(0)
 
 
-# memoised: the recursions reach each (i, degree, x) many times; knots is a tuple
+# memoised: the recursions reach each (i, degree, x) many times.  They run on
+# integer knots, whose tuple hashes far faster than one of Fractions.
 @functools.lru_cache(maxsize=1 << 16)
-def bspline_value(knots, i, degree, x):
+def _value(knots, i, degree, x):
     """N_{i,degree}(x) by the two-term recursion, 0/0 terms dropped."""
     if degree == 0:
         return _indicator(knots, i, x)
     out = Fraction(0)
     d1 = knots[i + degree] - knots[i]
     if d1 != 0:
-        out += (x - knots[i]) / d1 * bspline_value(knots, i, degree - 1, x)
+        out += (x - knots[i]) / d1 * _value(knots, i, degree - 1, x)
     d2 = knots[i + degree + 1] - knots[i + 1]
     if d2 != 0:
-        out += (knots[i + degree + 1] - x) / d2 * bspline_value(knots, i + 1, degree - 1, x)
+        out += (knots[i + degree + 1] - x) / d2 * _value(knots, i + 1, degree - 1, x)
     return out
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def bspline_derivative(knots, i, degree, x, order):
-    """order-th derivative of N_{i,degree} at x, exact rational."""
+def _derivative(knots, i, degree, x, order):
     if order == 0:
-        return bspline_value(knots, i, degree, x)
+        return _value(knots, i, degree, x)
     out = Fraction(0)
     d1 = knots[i + degree] - knots[i]
     if d1 != 0:
-        out += Fraction(degree) / d1 * bspline_derivative(knots, i, degree - 1, x, order - 1)
+        out += Fraction(degree) / d1 * _derivative(knots, i, degree - 1, x, order - 1)
     d2 = knots[i + degree + 1] - knots[i + 1]
     if d2 != 0:
-        out -= Fraction(degree) / d2 * bspline_derivative(knots, i + 1, degree - 1, x, order - 1)
+        out -= Fraction(degree) / d2 * _derivative(knots, i + 1, degree - 1, x, order - 1)
     return out
+
+
+def bspline_derivative(knots, i, degree, x, order):
+    """order-th derivative of N_{i,degree} at x, exact rational.
+
+    ``knots`` holds ints or Fractions.  The recursion runs on the integer
+    knots s t, s their common denominator, at s x: N_{i,degree} is the
+    same function of s x, so its order-th derivative is s^order times the
+    one on the scaled knots.
+    """
+    s = math.lcm(*(t.denominator for t in knots))
+    scaled = tuple(t.numerator * (s // t.denominator) for t in knots)
+    return _derivative(scaled, i, degree, Fraction(x) * s, order) * s**order
 
 
 def full_basis_exact(degree, n_elements, x, order=0):

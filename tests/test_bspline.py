@@ -181,3 +181,11 @@ def test_all_basis_ders_refuses_spans_outside_the_mesh(span, message):
     with pytest.raises(ConfigurationError) as info:
         KnotVector(3, 4).all_basis_ders(span, 0.5, 1)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("span", [[], np.array([], dtype=int), np.empty((0, 3))],
+                         ids=["list", "int", "float-2d"])
+def test_all_basis_ders_of_no_spans_is_empty(span):
+    # an empty list is a float64 array, with no entry that is not an integer
+    got = KnotVector(3, 4).all_basis_ders(span, np.zeros(np.shape(span)), 1)
+    assert got.shape == np.shape(span) + (2, 4)

@@ -14,8 +14,8 @@ from igaspectra import (DefinitenessError, KnotVector, NumericError, ResourceErr
                         eigenfunction_errors, eigsolve, solve_1d, solve_generalized)
 from igaspectra import pipeline
 from igaspectra.eigsolve import (_FOLD_MIN_N, _BandCholesky, _band_products, _band_rows,
-                                 _dense_vectors, _factor_block, _folded_pairs,
-                                 _persymmetric, _rayleigh_quotients, _solve_bytes)
+                                 _dense_vectors, _factor_block, _folded_parts,
+                                 _persymmetric, _polished_pairs, _solve_bytes)
 
 from oracles import (dense_generalized_eigenvalues, generalized_eigenvalues_mpmath,
                      rq_polish_dense)
@@ -93,10 +93,10 @@ def test_band_polish_matches_dense_rayleigh_quotients(degree, n_elements,
     Kd, Md = K.to_dense(), M.to_dense()
     lam, V = sla.eigh(Kd, Md, driver="gvd")
     want = np.sort(rq_polish_dense(Kd, Md, lam, V)[0])
-    k_band, m_band = K.data, M.data
     if storage == "padded":
-        k_band, m_band = (np.pad(b, ((0, K.n), (0, 0))) for b in (k_band, m_band))
-    got = np.sort(_rayleigh_quotients(k_band, m_band, V))
+        K, M = (SymBandMatrix(A.n, A.bandwidth + A.n, np.pad(A.data, ((0, A.n), (0, 0))))
+                for A in (K, M))
+    got = np.sort(_polished_pairs(K, M, [(V, 0.0)], want_vectors=False)[0])
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
@@ -311,7 +311,14 @@ def _persymmetric_pencil(n, bandwidth, seed):
 def _unfolded_values(K, M):
     """The eigenvalues of the dense path without the fold, as it runs below
     ``_FOLD_MIN_N`` unknowns: every vector from one reduction, polished."""
-    return np.sort(_rayleigh_quotients(K.data, M.data, _dense_vectors(K, M)), kind="stable")
+    return np.sort(_polished_pairs(K, M, [(_dense_vectors(K, M), 0.0)], False)[0],
+                   kind="stable")
+
+
+def _folded_pairs(K, M, want_vectors):
+    """The unsorted pairs of the fold, at any size: both halves solved,
+    unfolded and polished as the dense path does from ``_FOLD_MIN_N`` unknowns."""
+    return _polished_pairs(K, M, _folded_parts(K, M), want_vectors)
 
 
 def _ulps(got, want):
