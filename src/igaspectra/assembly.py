@@ -12,9 +12,11 @@ derivatives at each end: it only touches the (p-1) x (p-1) corner
 blocks and pushes the spurious outlier modes out of the spectrum.
 
 Every entry is its exact value rounded once.  On unit elements every
-term is rational; on n elements of size 1/n the pair is n K_1 + pi^2
-sum_l n^(3-2l) d_l d_l^T and M_1 / n + sum_l n^(1-2l) d_l d_l^T, summed
-as ``Fraction`` (pi^2 to 64 digits) and rounded by ``float``.  So each
+term is an integer band sum over one common denominator; on n elements
+of size 1/n the pair is n K_1 + pi^2 sum_l n^(3-2l) d_l d_l^T and
+M_1 / n + sum_l n^(1-2l) d_l d_l^T.  Its few scalar weights (pi^2 to 64
+digits) go over one denominator too, so each entry is one integer over
+one integer, rounded correctly by Python's ``int / int``.  So each
 interior diagonal holds one value, the cardinal stencil, and the pair
 equals its mirror bit for bit.  The exact integer work is O(p^3) once
 per degree; scaling, rounding and filling the band cost O(p^2 + n p).
@@ -30,11 +32,7 @@ from .bspline import KnotVector, _element_pieces, _piece_rows, boundary_derivati
 from .errors import ConfigurationError, check_int
 from .quadrature import map_to_element
 
-__all__ = [
-    "SymBandMatrix",
-    "assemble_1d",
-    "assemble_1d_reference_gauss",
-]
+__all__ = ["SymBandMatrix", "assemble_1d", "assemble_1d_reference_gauss"]
 
 # not called here: perfbench/tracer.py wraps both as assembly.<name> (ROADMAP item 5)
 boundary_derivatives, map_to_element = boundary_derivatives, map_to_element
@@ -80,20 +78,22 @@ def _lobatto_defect(p: int) -> Fraction:
 
 @functools.cache
 def _unit_bands(p: int, n: int) -> tuple[np.ndarray, int]:
-    """Exact integer lower bands of n unit elements (integer knots), and S.
+    """Exact integer lower bands of n unit elements (integer knots), and
+    their common denominator L S^2, L = lcm(1..2p+1).
 
     Integrates the integer basis pieces of ``bspline._element_pieces``, S
-    their common scale, against an integer Hilbert table.  Returns the
-    band sums (p+1, n + p - 2) of the element numerators of the stiffness
-    and the mass over L S^2, L = lcm(1..2p+1), and over S^2 of the
-    (D^p N_a)(D^p N_b) / (p!)^2 of the blend and of each penalty level's
-    d_l d_l^T at both ends.  Beyond 2p + 1 elements the elements between
-    the p boundary ones at each end repeat the cardinal element's tables.
+    their common scale, against an integer Hilbert table times L, and
+    scales the other products by L to match.  Returns the band sums
+    (p+1, n + p - 2) of the element stiffness, mass and blend factor
+    (D^p N_a)(D^p N_b) / (p!)^2, then of each penalty level's d_l d_l^T
+    at both ends.  Beyond 2p + 1 elements the elements between the p
+    boundary ones at each end repeat the cardinal element's tables.
     """
     pieces, scale = _element_pieces(p, n)
     j = np.arange(p + 1)
+    lcm = math.lcm(*range(1, 2 * p + 2))
     # the integrals of t^(i+j) over [0, 1], times L
-    hilbert = (math.lcm(*range(1, 2 * p + 2)) // (j[:, None] + j + 1)).astype(object)
+    hilbert = (lcm // (j[:, None] + j + 1)).astype(object)
     tables = []
     for e, c in enumerate(pieces):
         grad = c[:, 1:] * j[1:]
@@ -101,7 +101,7 @@ def _unit_bands(p: int, n: int) -> tuple[np.ndarray, int]:
         ends = [math.factorial(2 * level) * c[:, 2 * level] * (e == 0)
                 for level in range(1, (p - 1) // 2 + 1)]
         tables.append([grad @ hilbert[:p, :p] @ grad.T, c @ hilbert @ c.T,
-                       np.outer(c[:, p], c[:, p])] + [np.outer(d, d) for d in ends])
+                       lcm * np.outer(c[:, p], c[:, p])] + [lcm * np.outer(d, d) for d in ends])
     tables = np.array(tables, dtype=object)
     tables[-1, 3:] = tables[-1, 3:] + tables[0, 3:, ::-1, ::-1]  # x = 1 mirrors x = 0
     tables = tables[_piece_rows(p, n, np.arange(n))]
@@ -113,7 +113,7 @@ def _unit_bands(p: int, n: int) -> tuple[np.ndarray, int]:
             lo = max(0, 1 - lb)
             hi = max(lo, min(n, n_dof + 1 - la))
             sums[:, la - lb, lo + lb - 1 : hi + lb - 1] += tables[lo:hi, :, la, lb].T
-    return sums, scale
+    return sums, lcm * scale**2
 
 
 def assemble_1d(space: KnotVector, eta, penalty: bool = False
@@ -137,20 +137,20 @@ def assemble_1d(space: KnotVector, eta, penalty: bool = False
         Stiffness and mass, both exactly symmetric and persymmetric with bandwidth p.
     """
     p, n, n_dof = int(space.degree), int(space.n_elements), int(space.n_dof)
-    K, M = SymBandMatrix(n_dof, p), SymBandMatrix(n_dof, p)
     # beyond 3p + 1 elements the columns past 2p are those of 3p + 1 elements
     # shifted right, and the columns between hold column 2p - 1, the stencil
     mesh = min(n, 3 * p + 1)
-    sums, scale = _unit_bands(p, mesh)
-    unit = math.lcm(*range(1, 2 * p + 2)) * scale**2
-    blend = (1 - Fraction(eta)) * _lobatto_defect(p) / (2 ** (2 * p + 1) * scale**2 * n)
-    k, m = sums[0] * Fraction(n, unit), sums[1] * Fraction(1, n * unit) + sums[2] * blend
-    for level, pen in enumerate(sums[3:] if penalty else [], 1):
-        weight = Fraction(n) ** (1 - 2 * level) / scale**2
-        nz = pen != 0  # the corner blocks
-        k[nz] += pen[nz] * (_PI2 * n * n * weight)
-        m[nz] += pen[nz] * weight
-    for A, band in zip((K, M), (k.astype(float), m.astype(float))):
+    sums, unit = _unit_bands(p, mesh)
+    K, M = SymBandMatrix(n_dof, p), SymBandMatrix(n_dof, p)
+    # the weights of the sums: stiffness, mass, blend, then each penalty level
+    pen = [Fraction(n) ** (1 - 2 * level) if penalty else 0 for level in range(1, len(sums) - 2)]
+    blend = (1 - Fraction(eta)) * _lobatto_defect(p) / (2 ** (2 * p + 1) * n)
+    for A, weights in ((K, [n, 0, 0] + [_PI2 * n * n * w for w in pen]),
+                       (M, [0, Fraction(1, n), blend] + pen)):
+        # over one denominator each entry is one int / int; zero weights form nothing
+        den = math.lcm(*(w.denominator for w in weights))
+        band = (sum(s * int(w * den) for w, s in zip(weights, sums) if w)
+                / (den * unit)).astype(float)
         A.data[:, : 2 * p] = band[:, : 2 * p]
         A.data[:, 2 * p : 2 * p + n - mesh] = band[:, 2 * p - 1 : 2 * p]
         A.data[:, 2 * p + n - mesh :] = band[:, 2 * p :]

@@ -176,11 +176,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_ints(text: str) -> tuple:
     try:
-        values = tuple(int(part) for part in text.split(",") if part)
+        values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got '{text}'") from None
-    if min(values, default=1) < 1:
+    if min(values) < 1:
         raise argparse.ArgumentTypeError(f"entries must be >= 1, got '{text}'")
     return values
 

@@ -8,7 +8,8 @@ one batched product with the inverted diagonal blocks plus a w-column
 update per block.  A block that fails is factored again one column at a
 time, to report the first failing pivot as LAPACK potrf numbers it.
 Every solve begins by so factoring M, which reports M's pivot whatever
-path runs after it.
+path runs: the unfolded reduction keeps that factor, and the fold and
+the subset path factor M only for its pivot, before M's halves or K.
 
 * every pair, by the Cholesky reduction M = L L^T: the eigenvectors z
   of L^-1 K L^-T, from np.linalg.eigh (divide and conquer, Gu &
@@ -466,14 +467,12 @@ def solve_generalized(K: SymBandMatrix, M: SymBandMatrix,
     if not (np.isfinite(K.data).all() and np.isfinite(M.data).all()):
         raise ValueError("K and M must hold finite band entries")
 
-    _cholesky_blocks(M.data, "M")  # M positive definite, or its failing pivot, on every path
     b = _block_size(k, n)
-    if b is not None:
-        parts = [(_subspace_vectors(K, M, k, b), 0.0)]
-    elif n >= _FOLD_MIN_N and _persymmetric(K.data) and _persymmetric(M.data):
-        parts = _folded_parts(K, M)
+    if b is None and not (n >= _FOLD_MIN_N and _persymmetric(K.data) and _persymmetric(M.data)):
+        parts = [(_dense_vectors(K, M), 0.0)]  # whose reduction factors M first
     else:
-        parts = [(_dense_vectors(K, M), 0.0)]
+        _cholesky_blocks(M.data, "M")  # M's pivot, before the fold's halves or K are factored
+        parts = _folded_parts(K, M) if b is None else [(_subspace_vectors(K, M, k, b), 0.0)]
     lam, vec = _polished_pairs(K, M, parts, want_vectors)
     del parts  # the fold's halves, before the vectors are sorted
     order = np.argsort(lam, kind="stable")[:k]

@@ -200,6 +200,8 @@ def test_eigenfunction_errors_require_vectors_and_valid_modes():
     spec = solve_1d(2, 6)
     with pytest.raises(ConfigurationError):
         eigenfunction_errors(spec, space, (7,))  # only 6 modes exist
+    with pytest.raises(ValueError, match="eigenvector length does not match the space"):
+        eigenfunction_errors(solve_1d(2, 7), space, (1,))  # 7 unknowns, not 6
 
 
 def test_noise_floor_constant():

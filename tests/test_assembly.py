@@ -198,6 +198,13 @@ def test_interior_stiffness_rows_annihilate_constants():
 def test_band_matrix_storage_contract():
     with pytest.raises(ConfigurationError):
         SymBandMatrix(0, 1)
+    with pytest.raises(ConfigurationError, match="band data shape mismatch"):
+        SymBandMatrix(4, 1, np.zeros((3, 4)))
+
+
+def test_build_refuses_an_unknown_quadrature_scheme():
+    with pytest.raises(ConfigurationError, match="unknown quadrature scheme 'lobatto'"):
+        build_1d(3, 10, "lobatto")
 
 
 @pytest.mark.parametrize("n,bandwidth", [(1, 0), (3, 4), (3, 7), (5, 2), (6, 5)])
@@ -250,12 +257,14 @@ def _pi_squared():
 @example(7, 22)
 @example(7, 40)
 def test_assembly_rounds_the_exact_pencil_once(degree, n_elements):
-    """Every band entry, both schemes, penalty on and off, is the exact sum
-    of its element and penalty terms rounded once."""
+    """Every band entry, both schemes, pure Lobatto and a negative blend,
+    penalty on and off, is the exact sum of its element and penalty terms
+    rounded once."""
     assume(n_elements + degree > 2)
     K0, M0, B, levels = exact_pencil_parts(degree, n_elements)
     pi2 = _pi_squared()
-    for eta, penalty in itertools.product((1, optimal_blending(degree)), (False, True)):
+    etas = (1, optimal_blending(degree), 0, Fraction(-7, 3))
+    for eta, penalty in itertools.product(etas, (False, True)):
         K, M = assemble_1d(KnotVector(degree, n_elements), eta, penalty)
         on = levels if penalty else []
         K_terms = [(1, K0)] + [(pi2, k_level) for k_level, _ in on]

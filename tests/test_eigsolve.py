@@ -406,6 +406,24 @@ def test_fold_reports_the_failing_pivot_of_the_full_mass(row):
     assert err.value.pivot == pivot == row + 1
 
 
+@pytest.mark.parametrize("degree,n_elements,k,factored", [
+    (3, 50, None, [("M", 51)]),  # unfolded: the reduction's factor reports M's pivot
+    (5, 300, None, [("M", 303), ("M", 152), ("M", 151)]),  # folded: M, then its halves
+    (7, 400, 6, [("M", 405), ("K", 405)]),  # subset: M, then K for the iteration
+])
+def test_each_solve_path_factors_the_mass_once(monkeypatch, degree, n_elements, k, factored):
+    calls, factor = [], eigsolve._cholesky_blocks
+
+    def spy(band, name):
+        calls.append((name, band.shape[1]))
+        return factor(band, name)
+
+    monkeypatch.setattr(eigsolve, "_cholesky_blocks", spy)
+    _, K, M = build_1d(degree, n_elements)
+    solve_generalized(K, M, k=k)
+    assert calls == factored
+
+
 def test_spectrum_rows_solve_for_values_only(monkeypatch):
     calls = []
 
