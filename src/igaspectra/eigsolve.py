@@ -46,7 +46,10 @@ Two accuracy details on top of either path:
   accuracy.  The polish runs at every size, so the eigenvalues do not
   depend on whether the caller keeps the eigenvectors.  Every path hands
   it its vectors in the same form, and folded ones are unfolded there,
-  block by block, and polished against the full pencil.
+  block by block, and polished against the full pencil.  Each quotient
+  is a row product of its own column, so ``ends`` polishes only the two
+  columns at each end of each dense part (eigh orders them by unpolished
+  values, which may swap a near tie) and gets the extremes bit for bit.
 * Eigenvector signs are fixed so each vector's largest-magnitude entry
   is positive, making results reproducible across runs.
 """
@@ -415,7 +418,8 @@ def _check_backward_errors(K: SymBandMatrix, M: SymBandMatrix, lam, vec) -> None
 
 
 def solve_generalized(K: SymBandMatrix, M: SymBandMatrix,
-                      want_vectors: bool = True, k: int | None = None) -> Spectrum:
+                      want_vectors: bool = True, k: int | None = None, *,
+                      ends: bool = False) -> Spectrum:
     """Solve K u = lambda M u for a symmetric pair with M positive definite.
 
     Every eigenvalue is the extended-precision Rayleigh quotient of its
@@ -433,6 +437,10 @@ def solve_generalized(K: SymBandMatrix, M: SymBandMatrix,
         Return only the k >= 1 smallest pairs (all of them if the pencil
         has fewer), by subspace iteration when there are more than
         2k + 8 unknowns; K must then be positive definite too.
+    ends : bool
+        Return only lambda_min and lambda_max, bitwise the full solve's,
+        by polishing two columns at each end of each dense part: eigh's
+        unpolished order may swap a near-degenerate pair.  No k or vectors.
 
     Returns
     -------
@@ -445,7 +453,8 @@ def solve_generalized(K: SymBandMatrix, M: SymBandMatrix,
     TypeError
         If K or M is not a SymBandMatrix.
     ValueError
-        If the sizes differ or a band holds a NaN or infinity.
+        If the sizes differ, a band holds a NaN or infinity, or ``ends``
+        comes with ``k`` or ``want_vectors``.
     DefinitenessError
         If M is not positive definite, checked first on every path, or on
         the subset path K (reports the failing pivot).
@@ -460,6 +469,8 @@ def solve_generalized(K: SymBandMatrix, M: SymBandMatrix,
                         f"{type(K).__name__} and {type(M).__name__}")
     if K.n != M.n:
         raise ValueError(f"K and M differ in size: {K.n} and {M.n}")
+    if ends and (want_vectors or k is not None):
+        raise ValueError("ends returns two eigenvalues: it takes no k and no vectors")
     if k is not None:
         check_int("k", k, 1)
     n = K.n
@@ -473,6 +484,8 @@ def solve_generalized(K: SymBandMatrix, M: SymBandMatrix,
     else:
         _cholesky_blocks(M.data, "M")  # M's pivot, before the fold's halves or K are factored
         parts = _folded_parts(K, M) if b is None else [(_subspace_vectors(K, M, k, b), 0.0)]
+    if ends:
+        parts = [(y[:, [0, 1, -2, -1]] if y.shape[1] > 4 else y, sign) for y, sign in parts]
     lam, vec = _polished_pairs(K, M, parts, want_vectors)
     del parts  # the fold's halves, before the vectors are sorted
     order = np.argsort(lam, kind="stable")[:k]
@@ -480,7 +493,7 @@ def solve_generalized(K: SymBandMatrix, M: SymBandMatrix,
     if b is not None:
         _check_backward_errors(K, M, lam, vec[:, order])
     if not want_vectors:
-        return Spectrum(lam)
+        return Spectrum(lam[[0, -1]] if ends else lam)
     if len(order) < vec.shape[1] or np.any(order != np.arange(len(order))):
         vec = vec[:, order]
     idx = np.argmax(np.abs(vec), axis=0)

@@ -176,7 +176,7 @@ def convergence_table(dim: int, degree: int, meshes, modes=(1, 6),
     and a rate dict per tracked quantity fitted with the standard floor
     rule (None where the data sits at machine precision).  Refuses,
     before solving, meshes that are not at least 3 strictly increasing
-    integers >= 1 and modes that are empty, not integers or below 1.
+    integers >= 1 and modes that are empty, repeated, not integers or below 1.
     """
     meshes, modes = tuple(meshes), tuple(modes)
     for n in meshes:
@@ -188,6 +188,8 @@ def convergence_table(dim: int, degree: int, meshes, modes=(1, 6),
         raise ConfigurationError("convergence needs at least one --modes entry")
     for m in modes:
         check_int("--modes entries", m, 1)
+    if len(set(modes)) < len(modes):
+        raise ConfigurationError(f"--modes entries must be distinct, got {list(modes)}")
     rows = []
     for n in meshes:
         # only the modes up to max(modes) are read
@@ -216,11 +218,15 @@ def condition_summary(dim: int, degree: int, n_elements: int):
     """Baseline (Gauss, no penalty) vs treated (blended + penalty) conditioning.
 
     The extremes of a Kronecker sum of d equal pencils are d times the
-    1D extremes, so only the 1D eigenvalues are computed.
+    1D extremes, so only the two extreme 1D eigenvalues of each pencil
+    are computed (see ``solve_generalized``'s ``ends``).
     """
     check_int("dim", dim, 1, 3)
+    _check_solve_fits(KnotVector(degree, n_elements).n_dof, degree + 1)  # before assembly
+    extremes = []
     # the treated pencil first: build_1d refuses an untabulated degree before any solve
-    treat = solve_1d(degree, n_elements, "blended", penalty=True, want_vectors=False)
-    base = solve_1d(degree, n_elements, "gauss", penalty=False, want_vectors=False)
-    return condition_report(Spectrum(dim * base.eigenvalues[[0, -1]]),
-                            Spectrum(dim * treat.eigenvalues[[0, -1]]))
+    for quadrature, penalty in (("blended", True), ("gauss", False)):
+        _, K, M = build_1d(degree, n_elements, quadrature, penalty)
+        extremes.append(dim * solve_generalized(K, M, want_vectors=False, ends=True).eigenvalues)
+    treat, base = extremes
+    return condition_report(Spectrum(base), Spectrum(treat))

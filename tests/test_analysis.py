@@ -294,7 +294,7 @@ def test_nd_mode_beyond_resolution_is_refused():
         convergence_table(1, 2, (1, 2, 3), (3,))
 
 
-@pytest.mark.parametrize("modes", [(0, 1), (1, -2), (), (1.5,)])
+@pytest.mark.parametrize("modes", [(0, 1), (1, -2), (), (1.5,), (1, 6, 1)])
 def test_convergence_table_refuses_bad_modes_before_solving(monkeypatch, modes):
     monkeypatch.setattr(pipeline, "solve_nd", lambda *a, **k: pytest.fail("solved"))
     with pytest.raises(ConfigurationError, match="--modes entr"):

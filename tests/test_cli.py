@@ -537,6 +537,7 @@ INVALID_COMMAND_LINES = [
     pytest.param(["convergence", "--elements", "4,8,x"], id="non-integer-list"),
     pytest.param(["convergence", "--elements", "10,,20,40"], id="empty-mesh-entry"),
     pytest.param(["convergence", "--modes", "1,6,"], id="empty-mode-entry"),
+    pytest.param(["convergence", "--modes", "1,6,1"], id="repeated-mode"),
     pytest.param(["spectrum", "--bogus", "1"], id="unknown-flag"),
 ]
 

@@ -437,6 +437,45 @@ def test_spectrum_rows_solve_for_values_only(monkeypatch):
     assert calls == [False, False]
 
 
+@pytest.mark.parametrize("degree", range(1, 8))
+@pytest.mark.parametrize("quadrature", ["gauss", "blended"])
+@pytest.mark.parametrize("penalty", [False, True])
+def test_ends_are_bitwise_the_extremes_of_the_full_solve(degree, quadrature, penalty):
+    """Parts of 1 to 4 columns are polished whole and wider ones at their
+    two ends, on the unfolded path and on both sides of the fold.  At p = 6
+    the unfolded Gauss pencil of 107 unknowns without penalty has its
+    largest polished quotient in eigh's second-to-last column."""
+    for unknowns in (1, 2, 3, 4, 5, 107, _FOLD_MIN_N - 1, _FOLD_MIN_N, _FOLD_MIN_N + 1, 300):
+        if unknowns + 2 - degree < 1:
+            continue
+        _, K, M = build_1d(degree, unknowns + 2 - degree, quadrature, penalty)
+        assert K.n == unknowns
+        ends = solve_generalized(K, M, want_vectors=False, ends=True)
+        full = solve_generalized(K, M, want_vectors=False).eigenvalues
+        assert ends.eigenvectors is None
+        assert np.array_equal(ends.eigenvalues, full[[0, -1]]), unknowns
+
+
+def test_condition_polishes_only_the_ends_of_each_pencil(monkeypatch):
+    # 303 unknowns: each pencil folds into two parts of two columns per end
+    widths, polish = [], eigsolve._polished_pairs
+
+    def spy(K, M, parts, want_vectors):
+        widths.append(sum(y.shape[1] for y, _ in parts))
+        return polish(K, M, parts, want_vectors)
+
+    monkeypatch.setattr(eigsolve, "_polished_pairs", spy)
+    pipeline.condition_summary(3, 5, 300)
+    assert len(widths) == 2 and max(widths) <= 8
+
+
+@pytest.mark.parametrize("options", [{"want_vectors": False, "k": 1}, {"want_vectors": True}])
+def test_ends_takes_no_k_and_no_vectors(options):
+    _, K, M = build_1d(3, 10)
+    with pytest.raises(ValueError, match="no k and no vectors"):
+        solve_generalized(K, M, **options, ends=True)
+
+
 def test_spectrum_requires_ascending_eigenvalues():
     with pytest.raises(ValueError):
         Spectrum(np.array([2.0, 1.0]))
