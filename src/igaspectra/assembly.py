@@ -18,8 +18,13 @@ M_1 / n + sum_l n^(1-2l) d_l d_l^T.  Its few scalar weights (pi^2 to 64
 digits) go over one denominator too, so each entry is one integer over
 one integer, rounded correctly by Python's ``int / int``.  So each
 interior diagonal holds one value, the cardinal stencil, and the pair
-equals its mirror bit for bit.  The exact integer work is O(p^3) once
-per degree; scaling, rounding and filling the band cost O(p^2 + n p).
+equals its mirror bit for bit.  The residual of each rounding, rounded
+once too, goes into the band ``low`` (Dekker, Numer. Math. 18, 1971):
+data + low holds each entry to about 2^-106 relative, which the
+eigenvalue polish reads.  The columns no penalty level reaches are
+rounded from the penalty-free weights, whose denominator holds no pi^2.
+The exact integer work is O(p^3) once per degree; scaling, rounding and
+filling the bands cost O(p^2 + n p).
 """
 
 import functools
@@ -46,18 +51,23 @@ class SymBandMatrix:
 
     ``data[k, i]`` holds entry (i + k, i) for diagonal offset
     k = 0..bandwidth; entries beyond the band are identically zero.
+    ``low``, None for a matrix given as doubles, holds in the same layout
+    the rounding residual of each entry of an exact matrix: data + low
+    carries about 106 bits of each entry, which only the eigenvalue
+    polish reads.
     """
 
-    def __init__(self, n: int, bandwidth: int, data: np.ndarray | None = None):
+    def __init__(self, n: int, bandwidth: int, data: np.ndarray | None = None,
+                 low: np.ndarray | None = None):
         check_int("n", n, 1)
         check_int("bandwidth", bandwidth, 0)
         self.n = n
         self.bandwidth = bandwidth
         if data is None:
             data = np.zeros((bandwidth + 1, n))
-        if data.shape != (bandwidth + 1, n):
+        if data.shape != (bandwidth + 1, n) or low is not None and low.shape != data.shape:
             raise ConfigurationError("band data shape mismatch")
-        self.data = data
+        self.data, self.low = data, low
 
     def to_dense(self) -> np.ndarray:
         """The full symmetric n x n array."""
@@ -134,27 +144,45 @@ def assemble_1d(space: KnotVector, eta, penalty: bool = False
     Returns
     -------
     (SymBandMatrix, SymBandMatrix)
-        Stiffness and mass, both exactly symmetric and persymmetric with bandwidth p.
+        Stiffness and mass, both exactly symmetric and persymmetric with
+        bandwidth p: ``data`` each exact entry rounded once, ``low`` the
+        rounding residual, rounded once.
     """
     p, n, n_dof = int(space.degree), int(space.n_elements), int(space.n_dof)
     # beyond 3p + 1 elements the columns past 2p are those of 3p + 1 elements
     # shifted right, and the columns between hold column 2p - 1, the stencil
     mesh = min(n, 3 * p + 1)
     sums, unit = _unit_bands(p, mesh)
-    K, M = SymBandMatrix(n_dof, p), SymBandMatrix(n_dof, p)
+    # the band columns a penalty level reaches: the corners
+    corner = np.any(sums[3:] != 0, axis=(0, 1)) & penalty
+    K, M = (SymBandMatrix(n_dof, p, low=np.zeros((p + 1, n_dof))) for _ in range(2))
     # the weights of the sums: stiffness, mass, blend, then each penalty level
     pen = [Fraction(n) ** (1 - 2 * level) if penalty else 0 for level in range(1, len(sums) - 2)]
     blend = (1 - Fraction(eta)) * _lobatto_defect(p) / (2 ** (2 * p + 1) * n)
     for A, weights in ((K, [n, 0, 0] + [_PI2 * n * n * w for w in pen]),
                        (M, [0, Fraction(1, n), blend] + pen)):
-        # over one denominator each entry is one int / int; zero weights form nothing
-        den = math.lcm(*(w.denominator for w in weights))
-        band = (sum(s * int(w * den) for w, s in zip(weights, sums) if w)
-                / (den * unit)).astype(float)
-        A.data[:, : 2 * p] = band[:, : 2 * p]
-        A.data[:, 2 * p : 2 * p + n - mesh] = band[:, 2 * p - 1 : 2 * p]
-        A.data[:, 2 * p + n - mesh :] = band[:, 2 * p :]
+        # the columns the penalty leaves alone skip its denominator, pi^2's among them
+        parts = np.empty((2, p + 1, sums.shape[2]))
+        parts[:, :, ~corner] = _rounded(sums[:3, :, ~corner], weights[:3], unit)
+        parts[:, :, corner] = _rounded(sums[:, :, corner], weights, unit)
+        for out, band in zip((A.data, A.low), parts):
+            out[:, : 2 * p] = band[:, : 2 * p]
+            out[:, 2 * p : 2 * p + n - mesh] = band[:, 2 * p - 1 : 2 * p]
+            out[:, 2 * p + n - mesh :] = band[:, 2 * p :]
     return K, M
+
+
+def _rounded(sums, weights, unit) -> np.ndarray:
+    """The band sum(w s) / unit of the integer ``sums``, as its double hi and
+    the residual lo, both rounded once: over one denominator D each entry is
+    one int / int N / D, and with hi = a / b, lo = (N b - a D) / (D b)."""
+    den = math.lcm(*(w.denominator for w in weights))
+    # zero weights form nothing
+    num = sum(s * int(w * den) for w, s in zip(weights, sums) if w)
+    den *= unit
+    hi = (num / den).astype(float)
+    a, b = np.frompyfunc(float.as_integer_ratio, 1, 2)(hi)
+    return np.array([hi, ((num * b - a * den) / (den * b)).astype(float)])
 
 
 def assemble_1d_reference_gauss(space: KnotVector, penalty: bool = False

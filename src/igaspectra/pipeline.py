@@ -34,13 +34,14 @@ __all__ = ["build_1d", "solve_1d", "spectral_sum", "solve_nd", "spectrum_rows",
 def _assembly_bytes(degree: int, n_elements: int) -> int:
     """Peak bytes of ``build_1d``, estimated from the element count and degree.
 
-    The two bands and the knots, 2 (p+1) + 4 doubles per element, and the
-    exact integer tables of a first call, under 1024 (p+1)^3 bytes: the
-    tracemalloc peak of both schemes at p = 1..7, n = 1..3p+2, 50, 100,
-    3000 and 20000, tables built in the call, stays within 92% of the sum
-    (91.7% at p = 1, n = 2; under 72% from n = 50 on).
+    The two bands, their two residual bands and the knots, 4 (p+1) + 4
+    doubles per element, the exact integer tables of a first call, under
+    1024 (p+1)^3 bytes, and 16 KiB of Python objects: the tracemalloc peak
+    of both schemes at p = 1..7, n = 1..3p+2, 50, 100, 3000 and 20000,
+    tables built in the call or not, stays within 84% of the sum (83.3% at
+    p = 6, n = 20000).
     """
-    return 8 * n_elements * (2 * (degree + 1) + 4) + 1024 * (degree + 1) ** 3
+    return 8 * n_elements * (4 * (degree + 1) + 4) + 1024 * (degree + 1) ** 3 + 2**14
 
 
 def _spectrum_bytes(n_rows: int) -> int:

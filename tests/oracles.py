@@ -244,6 +244,30 @@ def exact_pencil_parts(degree, n_elements):
     return K, M, B, levels
 
 
+def exact_pencil(degree, n_elements, quadrature, penalty):
+    """Dense exact K and M, lists of Fraction rows, of a named scheme.
+
+    Sums the ``exact_pencil_parts`` with the weights of the scheme:
+    ``optimal_blending_exact`` for "blended" (1 for "gauss") times
+    ``lobatto_defect_exact`` on the blend term, and pi^2 to 80 digits on
+    K's penalty levels.
+    """
+    K0, M0, B, levels = exact_pencil_parts(degree, n_elements)
+    eta = optimal_blending_exact(degree) if quadrature == "blended" else 1
+    with mpmath.workdps(80):
+        pi2 = Fraction(str(mpmath.pi**2))
+    on = levels if penalty else []
+    pencil = []
+    for terms in ([(1, K0)] + [(pi2, k) for k, _ in on],
+                  [(1, M0), ((1 - eta) * lobatto_defect_exact(degree), B)]
+                  + [(1, m) for _, m in on]):
+        lower = [[sum(w * T[r][c] for w, T in terms) for c in range(r + 1)]
+                 for r in range(len(K0))]
+        pencil.append([[lower[max(r, c)][min(r, c)] for c in range(len(K0))]
+                       for r in range(len(K0))])
+    return tuple(pencil)
+
+
 def _mp_rule(seeds, f, weight):
     """Nodes as roots of f refined from float seeds, with their weights."""
     nodes = [mpmath.findroot(f, (mpmath.mpf(x), mpmath.mpf(x) + 1e-9)) for x in seeds]
@@ -403,17 +427,24 @@ def optimal_blending_exact(degree):
     slope = at_gauss - dispersion_series(p, 0, p + 2)[p + 1]  # per unit of eta
     return 1 - at_gauss / slope
 
-def rq_polish_dense(Kd, Md, lam, vec):
+def rq_polish_dense(Kd, Md, lam, vec, low=None):
     """Re-evaluate eigenvalues as extended-precision Rayleigh quotients.
 
     The dense form: full longdouble products K @ V and M @ V at O(n^3),
-    then the column-wise inner products.  Returns (lam, vec) re-sorted
+    then the column-wise inner products.  ``low``, a pair of dense
+    residuals (K_lo, M_lo) of an exact pencil's entries, makes them the
+    quotients of K + K_lo and M + M_lo.  Returns (lam, vec) re-sorted
     together, since polished values in a near-degenerate cluster may
     swap order; unpolished if some v^T M v is not positive.
     """
     V = vec.astype(np.longdouble)
-    num = np.einsum("ij,ij->j", V, Kd.astype(np.longdouble) @ V)
-    den = np.einsum("ij,ij->j", V, Md.astype(np.longdouble) @ V)
+
+    def form(A):
+        return np.einsum("ij,ij->j", V, A.astype(np.longdouble) @ V)
+
+    num, den = form(Kd), form(Md)
+    if low is not None:
+        num, den = num + form(low[0]), den + form(low[1])
     if np.any(den <= 0):
         return lam, vec
     polished = (num / den).astype(float)
@@ -433,15 +464,16 @@ def dense_generalized_eigenvalues(Kd, Md):
 
 
 def generalized_eigenvalues_mpmath(Kd, Md, dps=40):
-    """Ascending eigenvalues of the float64 pair (Kd, Md), at ``dps`` digits.
+    """Ascending eigenvalues of the pair (Kd, Md), at ``dps`` digits.
 
-    The entries are taken exactly; M = L L^T and the eigenvalues of
+    The entries, float64 arrays or the Fraction rows of ``exact_pencil``,
+    are taken to ``dps`` digits; M = L L^T and the eigenvalues of
     L^-1 K L^-T (mpmath's Jacobi ``eigsy``) are computed at ``dps``
     digits and rounded to float64 at the end.
     """
     with mpmath.workdps(dps):
-        inv = mpmath.inverse(mpmath.cholesky(mpmath.matrix(Md.tolist())))
-        C = inv * mpmath.matrix(Kd.tolist()) * inv.T
+        inv = mpmath.inverse(mpmath.cholesky(mpmath.matrix(np.asarray(Md).tolist())))
+        C = inv * mpmath.matrix(np.asarray(Kd).tolist()) * inv.T
         lam = mpmath.eigsy((C + C.T) / 2, eigvals_only=True)
         return np.sort([float(v) for v in lam])
 

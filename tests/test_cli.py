@@ -690,6 +690,17 @@ def test_convergence_output_does_not_depend_on_the_blas_thread_count():
         assert outputs[0] == outputs[1], command
 
 
+def test_convergence_1d_eigenvalue_errors_stay_at_the_rounding_of_lambda():
+    """At p = 7 on 100..800 elements the discretisation error of lambda_1
+    and lambda_6 is below 1e-20, so each printed relative error is what
+    the solve rounds: within 2.5 ulp of lambda with the polish against the
+    exact pencil (6.6e-13 at n = 800 polishing its float64 rounding)."""
+    rows, _ = pipeline.convergence_table(1, 7, (100, 200, 400, 800), (1, 6))
+    errors = [value for row in rows for key, value in row.items()
+              if key.startswith("lambda_rel_error_")]
+    assert len(errors) == 8 and max(errors) <= 4.5e-16
+
+
 @pytest.mark.parametrize("command", [
     "convergence --dim 1 --degree 3 --elements 5,10,20",
     "condition --dim 3 --degree 3 --elements 10",
