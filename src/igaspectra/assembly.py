@@ -21,10 +21,8 @@ interior diagonal holds one value, the cardinal stencil, and the pair
 equals its mirror bit for bit.  The residual of each rounding, rounded
 once too, goes into the band ``low`` (Dekker, Numer. Math. 18, 1971):
 data + low holds each entry to about 2^-106 relative, which the
-eigenvalue polish reads.  The columns no penalty level reaches are
-rounded from the penalty-free weights, whose denominator holds no pi^2.
-The exact integer work is O(p^3) once per degree; scaling, rounding and
-filling the bands cost O(p^2 + n p).
+eigenvalue polish reads.  The exact integer work is O(p^3) once per
+degree; scaling, rounding and filling the bands cost O(p^2 + n p).
 """
 
 import functools
@@ -153,19 +151,13 @@ def assemble_1d(space: KnotVector, eta, penalty: bool = False
     # shifted right, and the columns between hold column 2p - 1, the stencil
     mesh = min(n, 3 * p + 1)
     sums, unit = _unit_bands(p, mesh)
-    # the band columns a penalty level reaches: the corners
-    corner = np.any(sums[3:] != 0, axis=(0, 1)) & penalty
     K, M = (SymBandMatrix(n_dof, p, low=np.zeros((p + 1, n_dof))) for _ in range(2))
     # the weights of the sums: stiffness, mass, blend, then each penalty level
     pen = [Fraction(n) ** (1 - 2 * level) if penalty else 0 for level in range(1, len(sums) - 2)]
     blend = (1 - Fraction(eta)) * _lobatto_defect(p) / (2 ** (2 * p + 1) * n)
     for A, weights in ((K, [n, 0, 0] + [_PI2 * n * n * w for w in pen]),
                        (M, [0, Fraction(1, n), blend] + pen)):
-        # the columns the penalty leaves alone skip its denominator, pi^2's among them
-        parts = np.empty((2, p + 1, sums.shape[2]))
-        parts[:, :, ~corner] = _rounded(sums[:3, :, ~corner], weights[:3], unit)
-        parts[:, :, corner] = _rounded(sums[:, :, corner], weights, unit)
-        for out, band in zip((A.data, A.low), parts):
+        for out, band in zip((A.data, A.low), _rounded(sums, weights, unit)):
             out[:, : 2 * p] = band[:, : 2 * p]
             out[:, 2 * p : 2 * p + n - mesh] = band[:, 2 * p - 1 : 2 * p]
             out[:, 2 * p + n - mesh :] = band[:, 2 * p :]

@@ -367,7 +367,7 @@ def _polished_pairs(K: SymBandMatrix, M: SymBandMatrix, parts,
                     want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """(v^T K v) / (v^T M v) for every vector v of ``parts``, in extended precision.
 
-    ``parts`` holds pairs (y, sign), y the vectors of the pencil itself
+    ``parts`` lists pairs (y, sign), y the vectors of the pencil itself
     (sign 0) or of its ``_half_bands`` pencil of that sign, which are
     unfolded here.  ``_POLISH_BLOCK`` columns at a time bound the
     extended-precision buffers, and a fold unfolds no n x n/2 array
@@ -375,7 +375,7 @@ def _polished_pairs(K: SymBandMatrix, M: SymBandMatrix, parts,
     the vectors: those of a single part, the unfolded halves if
     ``want_vectors``, else None.
     """
-    n, parts = K.n, list(parts)
+    n = K.n
     rows = _band_rows((K.data, M.data), np.longdouble)
     low = None if K.low is None and M.low is None else _band_rows(
         tuple(np.zeros_like(A.data) if A.low is None else A.low for A in (K, M)), float)

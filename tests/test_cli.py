@@ -690,6 +690,35 @@ def test_convergence_output_does_not_depend_on_the_blas_thread_count():
         assert outputs[0] == outputs[1], command
 
 
+def test_dense_path_drift_between_one_and_two_blas_threads_stays_bounded():
+    """spectrum and condition solve on the dense path, whose bytes move with
+    the BLAS thread count.  The exact quotients of the two runs' vectors
+    agree to 1e-21 relative and round alike; the longdouble polish
+    evaluates each to ~0.005 ulp, so the rows it finds near a rounding
+    midpoint round either way.  Measured: spectrum on 800 elements differs
+    in 6 of its 805 rows, each by 1 ulp (3 rows when the polish read the
+    float64 pencil; both expect ~3.8 flips), and condition on 1000 elements
+    in its one row, by 1 ulp of lambda_min.  The bounds stop the drift
+    growing."""
+    def run(command, threads):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-m", "igaspectra", *command.split()],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, ""), command
+        header, *rows = done.stdout.splitlines()
+        return header.split(","), np.loadtxt(rows, delimiter=",", ndmin=2)
+
+    for command, max_rows in (("spectrum --dim 1 --degree 7 --elements 800", 6),
+                              ("condition --dim 1 --degree 3 --elements 1000", 1)):
+        (names, one), (_, two) = (run(command, threads) for threads in ("1", "2"))
+        assert one.shape == two.shape
+        assert np.count_nonzero(np.any(one != two, axis=1)) <= max_rows, command
+        computed = [name in ("lambda_approx", "lambda_min", "lambda_max", "lambda_max_treated")
+                    for name in names]
+        lam_one, lam_two = one[:, computed], two[:, computed]
+        assert np.all(np.abs(lam_one - lam_two) <= np.spacing(lam_one)), command
+
+
 def test_convergence_1d_eigenvalue_errors_stay_at_the_rounding_of_lambda():
     """At p = 7 on 100..800 elements the discretisation error of lambda_1
     and lambda_6 is below 1e-20, so each printed relative error is what

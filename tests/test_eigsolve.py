@@ -323,7 +323,7 @@ def _unfolded_values(K, M):
 def _folded_pairs(K, M, want_vectors):
     """The unsorted pairs of the fold, at any size: both halves solved,
     unfolded and polished as the dense path does from ``_FOLD_MIN_N`` unknowns."""
-    return _polished_pairs(K, M, _folded_parts(K, M), want_vectors)
+    return _polished_pairs(K, M, list(_folded_parts(K, M)), want_vectors)
 
 
 def _ulps(got, want):
