@@ -49,10 +49,9 @@ class SymBandMatrix:
 
     ``data[k, i]`` holds entry (i + k, i) for diagonal offset
     k = 0..bandwidth; entries beyond the band are identically zero.
-    ``low``, None for a matrix given as doubles, holds in the same layout
-    the rounding residual of each entry of an exact matrix: data + low
-    carries about 106 bits of each entry, which only the eigenvalue
-    polish reads.
+    ``low`` holds in the same layout the rounding residual of each entry,
+    zero unless given: data + low carries about 106 bits of each entry of
+    an exact matrix, which only the eigenvalue polish reads.
     """
 
     def __init__(self, n: int, bandwidth: int, data: np.ndarray | None = None,
@@ -63,7 +62,9 @@ class SymBandMatrix:
         self.bandwidth = bandwidth
         if data is None:
             data = np.zeros((bandwidth + 1, n))
-        if data.shape != (bandwidth + 1, n) or low is not None and low.shape != data.shape:
+        if low is None:
+            low = np.zeros(data.shape)
+        if data.shape != (bandwidth + 1, n) or low.shape != data.shape:
             raise ConfigurationError("band data shape mismatch")
         self.data, self.low = data, low
 
@@ -151,7 +152,7 @@ def assemble_1d(space: KnotVector, eta, penalty: bool = False
     # shifted right, and the columns between hold column 2p - 1, the stencil
     mesh = min(n, 3 * p + 1)
     sums, unit = _unit_bands(p, mesh)
-    K, M = (SymBandMatrix(n_dof, p, low=np.zeros((p + 1, n_dof))) for _ in range(2))
+    K, M = SymBandMatrix(n_dof, p), SymBandMatrix(n_dof, p)
     # the weights of the sums: stiffness, mass, blend, then each penalty level
     pen = [Fraction(n) ** (1 - 2 * level) if penalty else 0 for level in range(1, len(sums) - 2)]
     blend = (1 - Fraction(eta)) * _lobatto_defect(p) / (2 ** (2 * p + 1) * n)

@@ -43,13 +43,13 @@ Two accuracy details on top of either path:
   precision by the module's one band row product, at O(n p) per
   vector: the quotient is quadratically insensitive to the eigenvector
   error, which brings the smallest eigenvalues to near machine-relative
-  accuracy.  An assembled pencil keeps the rounding residual of each
-  entry in ``SymBandMatrix.low``, and the quotient adds v^T K_lo v and
-  v^T M_lo v in doubles, so it is the exact pencil's quotient, not its
-  float64 rounding's: at p = 7 on 20 elements the float64 pencil's
+  accuracy.  Each band keeps the rounding residual of each entry in
+  ``SymBandMatrix.low``, and the quotient adds v^T K_lo v and v^T M_lo v
+  in doubles, so it is the exact pencil's quotient, not its float64
+  rounding's: at p = 7 on 20 elements the float64 pencil's
   eigenvalues lie up to 1,405 ulp from the exact pencil's, and the
-  polished ones within 1 ulp.  The vectors are the float64 pencil's
-  either way.  The polish runs at every size, so the eigenvalues do not
+  polished ones within 1 ulp.  The vectors are the float64 pencil's.
+  The polish runs at every size, so the eigenvalues do not
   depend on whether the caller keeps the eigenvectors.  Every path hands
   it its vectors in the same form, and folded ones are unfolded there,
   block by block, and polished against the full pencil.  Each quotient
@@ -99,7 +99,7 @@ class Spectrum:
 #: values-only solve 14 n^2 at n = 2005); per n * w, for a band of w stored diagonals,
 #: the extended-precision rows of the polish and the float64 rows of the
 #: residual bands (the tracemalloc peak of the polish with all n diagonals
-#: stored, n = 403, is 104 n^2 bytes; 68 n^2 without the residual rows).
+#: stored, n = 403, is 104 n^2 bytes).
 _DENSE_BYTES_PER_N2 = 40
 _POLISH_BYTES_PER_NW = 112
 #: Peak bytes of the subset solve per (n + b) * b, for a block of b
@@ -377,25 +377,19 @@ def _polished_pairs(K: SymBandMatrix, M: SymBandMatrix, parts,
     """
     n = K.n
     rows = _band_rows((K.data, M.data), np.longdouble)
-    low = None if K.low is None and M.low is None else _band_rows(
-        tuple(np.zeros_like(A.data) if A.low is None else A.low for A in (K, M)), float)
+    low = _band_rows((K.low, M.low), float)
     vec = parts[0][0] if len(parts) == 1 else np.empty((n, n)) if want_vectors else None
-    buffer, forms, start = None, [], 0
+    forms, start = [], 0
     for y, sign in parts:
         if sign and vec is not None:
             y, sign = _unfold(y, n, sign, out=vec[:, start : start + y.shape[1]]), 0.0
             start += y.shape[1]
         for c in range(0, y.shape[1], _POLISH_BLOCK):
             x = _unfold(y[:, c : c + _POLISH_BLOCK], n, sign)
-            if buffer is None:
-                # one extended-precision block, the first and widest, so the einsum casts nothing
-                buffer = np.empty(x.shape, dtype=np.longdouble)
-            v = buffer[:, : x.shape[1]]
-            v[...] = x
-            forms.append(np.einsum("ib,imb->mb", v, _band_products(rows, v)))
-            if low is not None:
-                # the residual bands, some 2^-53 of the whole, need only doubles
-                forms[-1] += np.einsum("ib,imb->mb", x, _band_products(low, x))
+            v = x.astype(np.longdouble)
+            # the residual bands, some 2^-53 of the whole, need only doubles
+            forms.append(np.einsum("ib,imb->mb", v, _band_products(rows, v))
+                         + np.einsum("ib,imb->mb", x, _band_products(low, x)))
     forms = np.concatenate(forms, axis=1)
     return (forms[0] / forms[1]).astype(float), vec
 
@@ -444,9 +438,8 @@ def solve_generalized(K: SymBandMatrix, M: SymBandMatrix,
 
     Every eigenvalue is the extended-precision Rayleigh quotient of its
     computed eigenvector, whatever the size and whether or not the
-    vectors are returned, against data + low where the bands carry their
-    rounding residuals ``low`` (as assembled pencils do), else against
-    data.  The dense path folds a persymmetric pencil of at least
+    vectors are returned, against data + low, the bands with their
+    rounding residuals.  The dense path folds a persymmetric pencil of at least
     ``_FOLD_MIN_N`` unknowns into two half-size pencils.
 
     Parameters

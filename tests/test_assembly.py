@@ -200,6 +200,12 @@ def test_band_matrix_storage_contract():
         SymBandMatrix(0, 1)
     with pytest.raises(ConfigurationError, match="band data shape mismatch"):
         SymBandMatrix(4, 1, np.zeros((3, 4)))
+    # a matrix given as doubles has a zero residual band of data's shape
+    data = np.arange(8.0).reshape(2, 4)
+    for band in (SymBandMatrix(4, 1), SymBandMatrix(4, 1, data)):
+        assert band.low.shape == (2, 4) and not band.low.any()
+    with pytest.raises(ConfigurationError, match="band data shape mismatch"):
+        SymBandMatrix(4, 1, data, np.zeros((2, 3)))
 
 
 def test_build_refuses_an_unknown_quadrature_scheme():
